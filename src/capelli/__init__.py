@@ -12,7 +12,7 @@ from .catalog import CaseInstance, CaseSpec, instantiate, list_cases
 from .expr import eval_expr, fmt_expr, parse_expr
 from .modules import (GradedModule, break_points, build_ladder, direct_sum,
                       equivalence_witness, psi_of_ladder, validate)
-from .poly import MultiPoly, UniPoly, rational_roots, upoly_shift
+from .poly import MultiPoly, UniPoly, rational_roots
 from .weyl import (NotProportional, TwistedElement, WeylOp, twisted_apply,
                    twisted_canonical, weyl_apply, weyl_mul)
 
@@ -25,7 +25,6 @@ __all__ = [
     "confluence_exhaustive", "confluence_fuzz", "direct_sum", "equivalence_witness",
     "eval_expr", "fmt_expr", "from_word", "graded_components", "instantiate",
     "list_cases", "parse_expr", "presentation_for", "psi_of_ladder",
-    "rational_roots", "twisted_apply", "twisted_canonical", "upoly_shift",
-    "validate", "verify_all", "verify_annihilation", "verify_table", "weyl_apply",
-    "weyl_mul",
+    "rational_roots", "twisted_apply", "twisted_canonical", "validate",
+    "verify_all", "verify_annihilation", "verify_table", "weyl_apply", "weyl_mul",
 ]

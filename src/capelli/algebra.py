@@ -244,15 +244,17 @@ def a_pow(x: AElement, n: int) -> AElement:
     return out
 
 
+def _token_element(pres, tok):
+    if isinstance(tok, str):
+        return AElement.generator(pres, tok)
+    return AElement.scalar(pres, tok)
+
+
 def from_word(pres: APresentation, word) -> AElement:
     """Normal form of a product word; tokens are generator names or rational scalars."""
     out = AElement.scalar(pres, 1)
     for tok in word:
-        if isinstance(tok, str):
-            nxt = AElement.generator(pres, tok)
-        else:
-            nxt = AElement.scalar(pres, tok)
-        out = a_mul(out, nxt)
+        out = a_mul(out, _token_element(pres, tok))
     return out
 
 
@@ -267,24 +269,11 @@ def graded_components(x: AElement) -> dict:
 # -- confluence checking ------------------------------------------------
 
 
-def _nf_left(pres, word):
-    out = AElement.scalar(pres, 1)
-    for tok in word:
-        out = a_mul(out, _token_element(pres, tok))
-    return out
-
-
 def _nf_right(pres, word):
     out = AElement.scalar(pres, 1)
     for tok in reversed(word):
         out = a_mul(_token_element(pres, tok), out)
     return out
-
-
-def _token_element(pres, tok):
-    if isinstance(tok, str):
-        return AElement.generator(pres, tok)
-    return AElement.scalar(pres, tok)
 
 
 @dataclass
@@ -319,13 +308,13 @@ def confluence_fuzz(pres: APresentation, trials: int, seed: int,
                 word.append(rng.choice(GENERATORS))
             else:
                 word.append(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
-        left = _nf_left(pres, word)
+        left = from_word(pres, word)
         right = _nf_right(pres, word)
         i = rng.randint(0, length)
         j = rng.randint(i, length)
         u, v, w = word[:i], word[i:j], word[j:]
-        assoc_a = a_mul(_nf_left(pres, u), a_mul(_nf_left(pres, v), _nf_left(pres, w)))
-        assoc_b = a_mul(a_mul(_nf_left(pres, u), _nf_left(pres, v)), _nf_left(pres, w))
+        assoc_a = a_mul(from_word(pres, u), a_mul(from_word(pres, v), from_word(pres, w)))
+        assoc_b = a_mul(a_mul(from_word(pres, u), from_word(pres, v)), from_word(pres, w))
         if not (left == right == assoc_a == assoc_b):
             discrepancies.append(word)
     return ConfluenceReport(trials, trials, discrepancies)
@@ -340,6 +329,6 @@ def confluence_exhaustive(pres: APresentation, max_len: int) -> ConfluenceReport
         words = [w + [g] for w in words for g in GENERATORS]
         for word in words:
             count += 1
-            if _nf_left(pres, word) != _nf_right(pres, word):
+            if from_word(pres, word) != _nf_right(pres, word):
                 discrepancies.append(list(word))
     return ConfluenceReport(0, count, discrepancies)

@@ -10,8 +10,13 @@ row; rows flagged as disputed in the catalog get a soft verdict when the
 computation disagrees with the printing but confirms the corrected rule.
 
 verify_annihilation checks that the operator f*Delta - b(theta-d) kills the
-invariant polynomials f^m up to a chosen degree: (f Delta)(f^m) equals
-c * b(m-1) * f^m, by direct differentiation.
+invariant polynomials f^m up to a chosen degree: Delta(f^m) equals
+c * b(m-1) * f^(m-1), by direct differentiation, which is (f Delta)(f^m) =
+c * b(m-1) * f^m divided by f.
+
+Each instance keeps its differentiation results in its own memo: b, the
+powers of f, and the scalars of delta_scalar.  delta_scalar never reads b,
+so the ladders and the annihilation check stay independent of compute_b.
 """
 
 from __future__ import annotations
@@ -30,20 +35,11 @@ VERDICT_DISPUTED = "mismatch-disputed-row"
 VERDICT_MISMATCH = "mismatch"
 
 
-# computed b-data per instance object; instances are interned by the catalog,
-# so this avoids repeating the heavy twisted computation (the instance is kept
-# alive in the value to pin its id)
-_B_CACHE: dict = {}
-
-
 def compute_b(inst: CaseInstance):
     """Return (monic b, c) with Delta(f^(s+1)) = c*b(s)*f^s, by twisted differentiation."""
-    hit = _B_CACHE.get(id(inst))
-    if hit is not None and hit[0] is inst:
-        return hit[1], hit[2]
-    b, c = _compute_b(inst)
-    _B_CACHE[id(inst)] = (inst, b, c)
-    return b, c
+    if "b" not in inst.memo:
+        inst.memo["b"] = _compute_b(inst)
+    return inst.memo["b"]
 
 
 def _compute_b(inst: CaseInstance):
@@ -65,6 +61,50 @@ def _compute_b(inst: CaseInstance):
         raise NotProportional(
             f"case ({inst.case_id}) size {inst.size}: deg b = {b.degree()} != deg f = {inst.d}")
     return b, c
+
+
+def f_power(inst: CaseInstance, k: int) -> MultiPoly:
+    """f^k for k >= 0; each power is multiplied out once per instance."""
+    powers = inst.memo.setdefault("powers", {0: MultiPoly.one(inst.f.arity)})
+    # keyed by exponent, so two threads filling it at once write equal values
+    for j in range(len(powers), k + 1):
+        powers[j] = powers[j - 1] * inst.f
+    return powers[k]
+
+
+def delta_scalar(inst: CaseInstance, exponent) -> Fraction:
+    """The scalar rho with Delta(f^e) = rho * f^(e-1), by differentiation.
+
+    Nonnegative integer exponents differentiate the plain polynomial f^e
+    and divide back by f^(e-1); everything else goes through the twisted
+    module, where the single symbolic profile rho(s) of Delta(f^s) is
+    computed once per instance and evaluated at the exponent.  Neither
+    path reads b.
+    """
+    e = as_fraction(exponent)
+    memo = inst.memo
+    if e.denominator != 1 or e < 0:
+        if "delta_profile" not in memo:
+            image = twisted_apply(inst.delta, f_power_element(0, inst.f), inst.f)
+            memo["delta_profile"] = twisted_scalar_profile(image, inst.f, -1)
+        return as_fraction(memo["delta_profile"].evaluate(e))
+    scalars = memo.setdefault("delta", {})
+    k = int(e)
+    if k not in scalars:
+        scalars[k] = _plain_delta_scalar(inst, k)
+    return scalars[k]
+
+
+def _plain_delta_scalar(inst: CaseInstance, k: int) -> Fraction:
+    image = weyl_apply(inst.delta, f_power(inst, k))
+    if image.is_zero():
+        return Fraction(0)
+    if k == 0:
+        raise NotProportional("Delta does not annihilate constants")
+    quot = image.divide_exact(f_power(inst, k - 1))
+    if quot is None or quot.total_degree() > 0:
+        raise NotProportional(f"Delta(f^{k}) is not a scalar multiple of f^{k - 1}")
+    return as_fraction(quot.constant_term())
 
 
 @dataclass(frozen=True)
@@ -137,17 +177,21 @@ class AnnihilationReport:
 
 
 def verify_annihilation(inst: CaseInstance, m_max: int = 6) -> AnnihilationReport:
-    """Check (f Delta)(f^m) = c*b(m-1)*f^m for m = 0..m_max, exactly."""
+    """Check Delta(f^m) = c*b(m-1)*f^(m-1) for m = 0..m_max, exactly.
+
+    Equivalently (f Delta)(f^m) = c*b(m-1)*f^m.  A step whose image is not
+    a multiple of f^(m-1) fails like a wrong scalar.
+    """
     if m_max < 0:
         raise ValueError("m_max must be >= 0")
     b, c = compute_b(inst)
-    fpow = MultiPoly.one(inst.f.arity)   # f^m, starting at m = 0
     for m in range(m_max + 1):
-        lhs = inst.f * weyl_apply(inst.delta, fpow)
-        rhs = fpow * (c * as_fraction(b.evaluate(m - 1)))
-        if lhs != rhs:
+        try:
+            holds = delta_scalar(inst, m) == c * as_fraction(b.evaluate(m - 1))
+        except NotProportional:
+            holds = False
+        if not holds:
             return AnnihilationReport(inst.case_id, inst.size, m_max, False, m)
-        fpow = fpow * inst.f
     return AnnihilationReport(inst.case_id, inst.size, m_max, True, None)
 
 

@@ -10,7 +10,7 @@ differential-operator oracle is the authority on which is right.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
@@ -84,6 +84,9 @@ class CaseInstance:
     theta: WeylOp
     d: int
     expected_b: UniPoly
+    # lazily filled differentiation results (b, powers of f, Delta scalars),
+    # owned by bfunction; never shared by a copy, ignored by equality
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def spec(self) -> CaseSpec:

@@ -130,6 +130,8 @@ def cmd_algebra_nf(args) -> int:
 
 
 def cmd_algebra_fuzz(args) -> int:
+    if args.trials < 1:
+        raise UsageError(f"bad trial count {args.trials}: expected at least 1")
     inst = _instance(args)
     pres = presentation_for(inst)
     report = confluence_fuzz(pres, args.trials, args.seed)

@@ -8,8 +8,8 @@ Grammar (whitespace insensitive, left associative):
     atom   := 'f' | 'theta' | 'delta' | rational | '(' expr ')'
 
 Rationals are nonnegative 'p/q' or integer literals; exponents are
-nonnegative integer literals.  fmt_expr is a strict inverse of
-parse_expr on syntax trees.
+nonnegative integer literals; parentheses nest at most MAX_NESTING deep.
+fmt_expr is a strict inverse of parse_expr on syntax trees.
 """
 
 from __future__ import annotations
@@ -21,6 +21,9 @@ from .algebra import AElement, APresentation, a_add, a_mul, a_pow, a_sub
 from .poly import as_fraction
 
 MAX_EXPONENT = 10 ** 6
+# the parser recurses four frames per parenthesis level, so this keeps
+# nesting well inside Python's recursion limit
+MAX_NESTING = 100
 
 
 class ExprError(ValueError):
@@ -105,6 +108,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.nesting = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -169,8 +173,12 @@ class _Parser:
                 return RatLit(Fraction(int(num), int(den)))
             return RatLit(Fraction(int(tok[1])))
         if kind == "(":
+            if self.nesting == MAX_NESTING:
+                raise ExprError(f"parentheses nested deeper than {MAX_NESTING}", tok[2])
             self.advance()
+            self.nesting += 1
             node = self.expr()
+            self.nesting -= 1
             self.expect(")")
             return node
         raise ExprError(f"expected an atom, found {tok[1]!r}", tok[2])

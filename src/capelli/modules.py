@@ -13,8 +13,8 @@ together with the intertwining F N = N F and D N = N D across edges.
 
 Ladder constructors realize the rank-one modules spanned by the powers
 f^(k+lambda): build_ladder writes the edges straight from the relation
-data, psi_of_ladder recomputes them by genuine differentiation in the
-twisted module, and equivalence_witness checks that after gauge
+data, psi_of_ladder recomputes them by genuine differentiation
+(bfunction.delta_scalar), and equivalence_witness checks that after gauge
 normalization the two agree edge for edge.
 """
 
@@ -25,11 +25,10 @@ from fractions import Fraction
 from typing import Optional
 
 from .algebra import AElement, APresentation
-from .bfunction import presentation_for
+from .bfunction import delta_scalar, presentation_for
 from .catalog import CaseInstance
-from .poly import MultiPoly, UniPoly, as_fraction, format_rational, rational_roots
-from .weyl import (NotProportional, f_power_element, twisted_apply,
-                   twisted_scalar_profile, weyl_apply)
+from .poly import UniPoly, as_fraction, format_rational, rational_roots
+from .weyl import NotProportional, f_power_element, twisted_apply, twisted_scalar_profile
 
 # -- tiny exact matrix helpers (lists of rows) ---------------------------
 
@@ -230,54 +229,6 @@ def build_ladder(pres: APresentation, lam, window) -> GradedModule:
     return T
 
 
-# per-instance cache of f-powers and the symbolic Delta profile; instances
-# are interned by the catalog, and each value retains its instance to pin
-# the id
-_EDGE_CACHE: dict = {}
-
-
-def _instance_cache(inst: CaseInstance) -> dict:
-    hit = _EDGE_CACHE.get(id(inst))
-    if hit is not None and hit[0] is inst:
-        return hit[1]
-    cache: dict = {}
-    _EDGE_CACHE[id(inst)] = (inst, cache)
-    return cache
-
-
-def _delta_edge_scalar(inst: CaseInstance, exponent: Fraction, cache: dict):
-    """The scalar rho with Delta(f^e) = rho * f^(e-1), by differentiation.
-
-    Nonnegative integer exponents differentiate the plain polynomial f^K
-    and divide back; everything else goes through the twisted module,
-    where the single symbolic profile rho(s) of Delta(f^s) is computed
-    once per instance and evaluated at the exponent.
-    """
-    f = inst.f
-    if exponent.denominator == 1 and exponent >= 0:
-        big_k = int(exponent)
-        if big_k == 0:
-            image = weyl_apply(inst.delta, MultiPoly.one(f.arity))
-            if not image.is_zero():
-                raise NotProportional("Delta does not annihilate constants")
-            return Fraction(0)
-        powers = cache.setdefault("powers", {0: MultiPoly.one(f.arity)})
-        for j in range(max(powers) + 1, big_k + 1):
-            powers[j] = powers[j - 1] * f
-        image = weyl_apply(inst.delta, powers[big_k])
-        if image.is_zero():
-            return Fraction(0)
-        quot = image.divide_exact(powers[big_k - 1])
-        if quot is None or quot.total_degree() > 0:
-            raise NotProportional(
-                f"Delta(f^{big_k}) is not a scalar multiple of f^{big_k - 1}")
-        return as_fraction(quot.constant_term())
-    if "delta_profile" not in cache:
-        image = twisted_apply(inst.delta, f_power_element(0, f), f)
-        cache["delta_profile"] = twisted_scalar_profile(image, f, -1)
-    return as_fraction(cache["delta_profile"].evaluate(exponent))
-
-
 def psi_of_ladder(inst: CaseInstance, lam, window,
                   pres: Optional[APresentation] = None) -> GradedModule:
     """Invariant-section ladder computed by genuine differentiation.
@@ -298,7 +249,6 @@ def psi_of_ladder(inst: CaseInstance, lam, window,
         twisted_apply(inst.theta, f_power_element(0, f), f), f, 0)
     dims = {ladder_weight(pres, lam, k): 1 for k in ks}
     T = GradedModule(pres, dims)
-    cache = _instance_cache(inst)
     for k in ks:
         alpha = ladder_weight(pres, lam, k)
         # theta: weight must come out as d*(k+lambda), exactly, with N = 0
@@ -314,7 +264,7 @@ def psi_of_ladder(inst: CaseInstance, lam, window,
             T.f_boundary.add(alpha)
         # Delta: computed by differentiation
         if k - 1 in ks:
-            T.D[alpha] = [[_delta_edge_scalar(inst, lam + k, cache)]]
+            T.D[alpha] = [[delta_scalar(inst, lam + k)]]
         else:
             T.d_boundary.add(alpha)
     return T

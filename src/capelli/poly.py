@@ -505,11 +505,6 @@ class UniPoly:
         return text
 
 
-def upoly_shift(p: UniPoly, sigma) -> UniPoly:
-    """Free-function alias for UniPoly.shift."""
-    return p.shift(sigma)
-
-
 def _divisors(n: int):
     n = abs(n)
     out = []

@@ -130,26 +130,30 @@ def test_criterion_5_oracle_faithfulness(min_instances, min_presentations):
             inst = min_instances[key]
             pres = min_presentations[key]
             ops = {name: make(inst) for name, make in _GENERATOR_OPS.items()}
+            # the twisted images carry a symbolic exponent and do not depend on
+            # lambda, so compute them once per (word, k) and evaluate per twist
+            profiles = []
+            for word in _generator_words(4):
+                element = from_word(pres, list(word))
+                weyl_word = ops[word[0]]
+                for name in word[1:]:
+                    weyl_word = weyl_word * ops[name]
+                shift = word.count(F) - word.count(DELTA)
+                for k in range(lo, hi + 1):
+                    if not lo <= k + shift <= hi:
+                        continue
+                    image = twisted_apply(weyl_word, f_power_element(k, inst.f), inst.f)
+                    profile = twisted_scalar_profile(image, inst.f, k + shift)
+                    profiles.append((word, element, k, shift, profile))
             for lam in (Fraction(0), Fraction(1, 2), Fraction(-1)):
                 ladder = psi_of_ladder(inst, lam, (lo, hi), pres=pres)
-                for word in _generator_words(4):
-                    element = from_word(pres, list(word))
-                    weyl_word = ops[word[0]]
-                    for name in word[1:]:
-                        weyl_word = weyl_word * ops[name]
-                    shift = word.count(F) - word.count(DELTA)
-                    for k in range(lo, hi + 1):
-                        if not lo <= k + shift <= hi:
-                            continue
-                        image = twisted_apply(weyl_word, f_power_element(k, inst.f),
-                                              inst.f)
-                        profile = twisted_scalar_profile(image, inst.f, k + shift)
-                        direct = profile.evaluate(lam)
-                        alpha = ladder_weight(pres, lam, k)
-                        target = ladder_weight(pres, lam, k + shift)
-                        via_algebra = act(ladder, element, alpha)
-                        assert list(via_algebra) == [target], (key, lam, word, k)
-                        assert via_algebra[target] == [[direct]], (key, lam, word, k)
+                for word, element, k, shift, profile in profiles:
+                    direct = profile.evaluate(lam)
+                    alpha = ladder_weight(pres, lam, k)
+                    target = ladder_weight(pres, lam, k + shift)
+                    via_algebra = act(ladder, element, alpha)
+                    assert list(via_algebra) == [target], (key, lam, word, k)
+                    assert via_algebra[target] == [[direct]], (key, lam, word, k)
 
 
 def test_criterion_6_equivalence_witness(min_instances, min_presentations):

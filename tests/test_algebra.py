@@ -8,7 +8,7 @@ from capelli.algebra import (DELTA, F, THETA, AElement, APresentation, a_add, a_
                              confluence_fuzz, from_word, graded_components)
 from capelli.bfunction import presentation_for
 from capelli.catalog import instantiate
-from capelli.poly import UniPoly, upoly_shift
+from capelli.poly import UniPoly
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +63,7 @@ class TestFromWord:
 
     def test_f_delta_contracts_shifted(self, pres4):
         got = from_word(pres4, [F, DELTA])
-        assert got == AElement(pres4, {0: upoly_shift(pres4.B, -pres4.d)})
+        assert got == AElement(pres4, {0: pres4.B.shift(-pres4.d)})
 
     def test_sandwich_word(self, pres4):
         got = from_word(pres4, [DELTA, F, DELTA])

@@ -1,8 +1,10 @@
+import dataclasses
 import json
 from fractions import Fraction
 
 import pytest
 
+from capelli import bfunction
 from capelli.bfunction import (VERDICT_DISPUTED, VERDICT_MATCH, compute_b, factored,
                                presentation_for, verify_annihilation)
 from capelli.catalog import instantiate
@@ -116,6 +118,14 @@ class TestAnnihilation:
         with pytest.raises(ValueError):
             verify_annihilation(instantiate(1, 2), -1)
 
+    def test_reports_first_failing_step(self, monkeypatch):
+        # the true b of the n=2 determinant is (s+1)(s+2): m = 0 holds for any
+        # b with the root -1, and m = 1 needs c*b(0) = 2, not 7
+        wrong = UniPoly.from_offsets("s", [1, 7])
+        monkeypatch.setattr(bfunction, "compute_b", lambda inst: (wrong, Fraction(1)))
+        report = verify_annihilation(instantiate(4, 2), 4)
+        assert not report.passed and report.first_failing == 1
+
 
 class TestNotProportional:
     def _bad_instance(self):
@@ -135,6 +145,15 @@ class TestNotProportional:
 
         with pytest.raises(NotProportional):
             compute_b(self._bad_instance())
+
+    def test_memo_is_not_shared_by_a_copy(self):
+        from capelli.weyl import NotProportional
+
+        inst = instantiate(4, 2)
+        compute_b(inst)
+        wrong = self._bad_instance().delta
+        with pytest.raises(NotProportional):
+            compute_b(dataclasses.replace(inst, delta=wrong))
 
     def test_psi_rejects_wrong_dual(self):
         from capelli.modules import psi_of_ladder

@@ -84,6 +84,19 @@ class TestAlgebra:
                         "--trials", "50", "--seed", "3"]) == 0
         assert "0 discrepancies" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_fuzz_without_trials_is_usage_error(self, trials, capsys):
+        assert run_cli(["algebra", "fuzz", "--case", "4", "--size", "2",
+                        "--trials", trials]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_nf_deep_nesting_is_usage_error(self, capsys):
+        text = "(" * 2000 + "f" + ")" * 2000
+        assert run_cli(["algebra", "nf", "--case", "4", "--size", "2", text]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 class TestModule:
     def test_ladder_json_roundtrip(self, capsys):

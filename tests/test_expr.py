@@ -6,8 +6,8 @@ import pytest
 from capelli.algebra import DELTA, F, THETA, AElement, a_sub, from_word
 from capelli.bfunction import presentation_for
 from capelli.catalog import instantiate
-from capelli.expr import (BinOp, ExprError, Pow, RatLit, Sym, element_to_expr,
-                          eval_expr, fmt_expr, parse_expr)
+from capelli.expr import (MAX_NESTING, BinOp, ExprError, Pow, RatLit, Sym,
+                          element_to_expr, eval_expr, fmt_expr, parse_expr)
 
 
 @pytest.fixture(scope="module")
@@ -47,11 +47,16 @@ class TestParseErrors:
         ("f *", 3),
         ("(f + theta", 10),
         ("f)", 1),
+        pytest.param("(" * (MAX_NESTING + 1) + "f" + ")" * (MAX_NESTING + 1), MAX_NESTING,
+                     id="nested-too-deep"),
     ])
     def test_syntax_error_position(self, text, pos):
         with pytest.raises(ExprError) as err:
             parse_expr(text)
         assert err.value.pos == pos
+
+    def test_nesting_up_to_the_limit(self):
+        assert parse_expr("(" * MAX_NESTING + "f" + ")" * MAX_NESTING) == Sym("f")
 
     def test_unknown_name(self):
         with pytest.raises(ExprError):

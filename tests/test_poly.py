@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from capelli.poly import MultiPoly, UniPoly, rational_roots, upoly_shift
+from capelli.poly import MultiPoly, UniPoly, rational_roots
 
 
 def x(i, arity=2):
@@ -96,11 +96,11 @@ class TestDivideExact:
 class TestUniPoly:
     def test_shift_binomial(self):
         t_sq = UniPoly("s", (0, 0, 1))
-        assert upoly_shift(t_sq, 1) == UniPoly("s", (1, 2, 1))
+        assert t_sq.shift(1) == UniPoly("s", (1, 2, 1))
 
     def test_shift_zero_is_identity(self):
         p = UniPoly("s", (3, Fraction(-1, 2), 0, 5))
-        assert upoly_shift(p, 0) == p
+        assert p.shift(0) == p
 
     def test_shift_involution_random(self):
         rng = random.Random(99)
@@ -108,12 +108,12 @@ class TestUniPoly:
             p = UniPoly("s", [Fraction(rng.randint(-9, 9), rng.randint(1, 9))
                               for _ in range(rng.randint(0, 6))])
             a = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-            assert upoly_shift(upoly_shift(p, a), -a) == p
+            assert p.shift(a).shift(-a) == p
 
     def test_shift_of_contraction_polynomial(self):
         # B(t) = (t/2 + 1)(t/2 + 2); shifted by -2 it vanishes at t = 0
         B = UniPoly("theta", (2, Fraction(3, 2), Fraction(1, 4)))
-        assert upoly_shift(B, -2).evaluate(0) == 0
+        assert B.shift(-2).evaluate(0) == 0
         assert B.evaluate(-2) == 0
 
     def test_symbol_mismatch(self):
