@@ -26,12 +26,13 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .poly import UniPoly, as_fraction, format_rational
+from .poly import UniPoly, as_fraction, format_rational, power
 
 F = "f"
 THETA = "theta"
 DELTA = "delta"
 GENERATORS = (F, THETA, DELTA)
+FUZZ_MAX_LEN = 8      # longest random word confluence_fuzz draws
 
 
 @dataclass(frozen=True)
@@ -122,10 +123,6 @@ class AElement:
             return NotImplemented
         return self.pres == other.pres and self.parts == other.parts
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     __hash__ = None
 
     def __repr__(self):
@@ -134,15 +131,6 @@ class AElement:
     def _check(self, other):
         if self.pres != other.pres:
             raise ValueError("presentation mismatch")
-
-    def pos(self):
-        return {k: p for k, p in self.parts.items() if k > 0}
-
-    def mid(self):
-        return self.parts.get(0, UniPoly.zero(THETA))
-
-    def neg(self):
-        return {-k: p for k, p in self.parts.items() if k < 0}
 
     def format(self) -> str:
         if not self.parts:
@@ -238,10 +226,7 @@ def a_mul(x: AElement, y: AElement) -> AElement:
 
 
 def a_pow(x: AElement, n: int) -> AElement:
-    out = AElement.scalar(x.pres, 1)
-    for _ in range(n):
-        out = a_mul(out, x)
-    return out
+    return power(x, n, AElement.scalar(x.pres, 1), a_mul)
 
 
 def _token_element(pres, tok):
@@ -287,20 +272,20 @@ class ConfluenceReport:
         return not self.discrepancies
 
 
-def confluence_fuzz(pres: APresentation, trials: int, seed: int,
-                    max_len: int = 8) -> ConfluenceReport:
+def confluence_fuzz(pres: APresentation, trials: int, seed: int) -> ConfluenceReport:
     """Random-word check that rewriting order cannot change normal forms.
 
-    Each trial draws a word over {f, theta, delta} (with an occasional
-    scalar token), reduces it left-to-right and right-to-left, and also
-    re-associates a random three-way split; all reductions must agree.
+    Each trial draws a word of 1 to FUZZ_MAX_LEN tokens over {f, theta,
+    delta} (with an occasional scalar token), reduces it left-to-right and
+    right-to-left, and also re-associates a random three-way split; all
+    reductions must agree.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = random.Random(seed)
     discrepancies = []
     for _ in range(trials):
-        length = rng.randint(1, max_len)
+        length = rng.randint(1, FUZZ_MAX_LEN)
         word = []
         for _ in range(length):
             r = rng.random()

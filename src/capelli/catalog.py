@@ -47,10 +47,6 @@ class CaseSpec:
             return False
         return True
 
-    @property
-    def minimal_size(self) -> int:
-        return self.fixed_size if self.fixed_size is not None else self.min_size
-
     def expected_b(self, n: int) -> UniPoly:
         """Monic b-polynomial in s as printed in the table."""
         return UniPoly.from_offsets("s", self.printed_b_offsets(n))

@@ -214,11 +214,23 @@ def _fmt(node, parent_level: int) -> str:
         text = f"{base}^{node.exponent}"
         return text if _LEVEL_POW >= parent_level else f"({text})"
     if isinstance(node, BinOp):
-        level = _LEVEL_ADD if node.op in "+-" else _LEVEL_MUL
-        left = _fmt(node.left, level)
-        right = _fmt(node.right, level + 1)       # left associative
-        text = f"{left} {node.op} {right}" if level == _LEVEL_ADD else f"{left}{node.op}{right}"
-        return text if level >= parent_level else f"({text})"
+        # walk the left spine iteratively: a flat a + b + ... chain is a
+        # left-deep tree, one level per operator
+        spine = []
+        while isinstance(node, BinOp):
+            level = _LEVEL_ADD if node.op in "+-" else _LEVEL_MUL
+            spine.append((node, level, level < parent_level))
+            node, parent_level = node.left, level
+        parts = [_fmt(node, parent_level)]
+        opens = 0
+        for node, level, wrap in reversed(spine):
+            # left associative: the right operand binds one level tighter
+            right = _fmt(node.right, level + 1)
+            parts += (f" {node.op} " if level == _LEVEL_ADD else node.op, right)
+            if wrap:
+                opens += 1
+                parts.append(")")
+        return "(" * opens + "".join(parts)
     raise TypeError(f"not an expression node: {node!r}")
 
 
@@ -238,13 +250,21 @@ def eval_expr(node, pres: APresentation) -> AElement:
     if isinstance(node, Pow):
         return a_pow(eval_expr(node.base, pres), node.exponent)
     if isinstance(node, BinOp):
-        left = eval_expr(node.left, pres)
-        right = eval_expr(node.right, pres)
-        if node.op == "+":
-            return a_add(left, right)
-        if node.op == "-":
-            return a_sub(left, right)
-        return a_mul(left, right)
+        # walk the left spine iteratively, as _fmt does
+        spine = []
+        while isinstance(node, BinOp):
+            spine.append(node)
+            node = node.left
+        acc = eval_expr(node, pres)
+        for node in reversed(spine):
+            right = eval_expr(node.right, pres)
+            if node.op == "+":
+                acc = a_add(acc, right)
+            elif node.op == "-":
+                acc = a_sub(acc, right)
+            else:
+                acc = a_mul(acc, right)
+        return acc
     raise TypeError(f"not an expression node: {node!r}")
 
 

@@ -4,6 +4,12 @@ Scalars are arbitrary-precision rationals.  We use ``fractions.Fraction``
 and plain ``int`` interchangeably as coefficients (an int is a rational
 with denominator 1; mixing the two is exact and keeps the all-integer
 hot paths fast).  No floating point anywhere.
+
+``TermMap`` holds the sparse additive structure (construction, equality,
+sums, scalar multiples) that ``MultiPoly`` here and ``weyl.WeylOp`` share;
+each subclass adds only its unit key and its product.  ``power`` is the
+one powering loop, used by both polynomial classes and by the quotient
+algebra.
 """
 
 from __future__ import annotations
@@ -11,7 +17,7 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from math import gcd
-from operator import add as _add
+from operator import add as _add, mul as _mul
 
 
 def ratio(a, b):
@@ -39,13 +45,50 @@ def _grlex(exps):
     return (sum(exps), exps)
 
 
-class MultiPoly:
-    """Sparse multivariate polynomial: map from exponent vectors to coefficients.
+def power(x, n, one, mul):
+    """x^n as one * x * ... * x, multiplied left to right (n >= 0 an int)."""
+    if not isinstance(n, int) or n < 0:
+        raise ValueError("exponent must be a nonnegative integer")
+    out = one
+    for _ in range(n):
+        out = mul(out, x)
+    return out
 
-    Exponent vectors are tuples of fixed length ``arity``.  Zero
-    coefficients are never stored, so equality of the term maps is
-    equality of polynomials.  Iteration for display/serialization uses
-    descending graded-lex order.
+
+def _power_text(name, k):
+    """name^k as text: "" for k = 0, name for k = 1."""
+    return "" if k == 0 else name if k == 1 else f"{name}^{k}"
+
+
+def _join_terms(terms):
+    """Render (coefficient, monomial text) pairs as "a*m - b*n + c"; "0" if none."""
+    pieces = []
+    for c, body in terms:
+        cf = as_fraction(c)
+        if not body:
+            pieces.append(str(cf))
+        elif cf == 1:
+            pieces.append(body)
+        elif cf == -1:
+            pieces.append(f"-{body}")
+        else:
+            pieces.append(f"{cf}*{body}")
+    if not pieces:
+        return "0"
+    text = pieces[0]
+    for piece in pieces[1:]:
+        text += " - " + piece[1:] if piece.startswith("-") else " + " + piece
+    return text
+
+
+class TermMap:
+    """Sparse map from monomial keys to nonzero coefficients, at a fixed arity.
+
+    The additive structure shared by MultiPoly (keys are exponent vectors)
+    and weyl.WeylOp (keys are pairs of them).  Zero coefficients are never
+    stored, so equality of the term maps is equality of the values; values
+    of different subclasses are never equal.  A subclass supplies its unit
+    key and its product.
     """
 
     __slots__ = ("arity", "terms")
@@ -53,6 +96,10 @@ class MultiPoly:
     def __init__(self, arity: int, terms=None):
         self.arity = arity
         self.terms = {} if terms is None else terms
+
+    @staticmethod
+    def unit_key(arity):
+        raise NotImplementedError
 
     # -- constructors -------------------------------------------------
 
@@ -64,11 +111,74 @@ class MultiPoly:
     def constant(cls, arity, c):
         if c == 0:
             return cls(arity)
-        return cls(arity, {(0,) * arity: c})
+        return cls(arity, {cls.unit_key(arity): c})
 
     @classmethod
     def one(cls, arity):
         return cls.constant(arity, 1)
+
+    # -- structure -----------------------------------------------------
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.arity == other.arity and self.terms == other.terms
+
+    __hash__ = None
+
+    def _check(self, other):
+        if self.arity != other.arity:
+            raise ValueError(f"arity mismatch: {self.arity} != {other.arity}")
+
+    # -- additive structure and scalars ----------------------------------
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            other = self.constant(self.arity, other)
+        self._check(other)
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            nc = out.get(k, 0) + c
+            if nc == 0:
+                out.pop(k, None)
+            else:
+                out[k] = nc
+        return type(self)(self.arity, out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return type(self)(self.arity, {k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def _scale(self, c):
+        if c == 0:
+            return type(self)(self.arity)
+        return type(self)(self.arity, {k: v * c for k, v in self.terms.items()})
+
+
+class MultiPoly(TermMap):
+    """Sparse multivariate polynomial: map from exponent vectors to coefficients.
+
+    Exponent vectors are tuples of fixed length ``arity``.  Iteration for
+    display/serialization uses descending graded-lex order.
+    """
+
+    __slots__ = ()
+
+    @staticmethod
+    def unit_key(arity):
+        return (0,) * arity
+
+    # -- constructors -------------------------------------------------
 
     @classmethod
     def variable(cls, arity, i):
@@ -87,9 +197,6 @@ class MultiPoly:
 
     # -- queries -------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         if not self.terms:
@@ -97,64 +204,20 @@ class MultiPoly:
         return max(sum(e) for e in self.terms)
 
     def constant_term(self):
-        return self.terms.get((0,) * self.arity, 0)
+        return self.terms.get(self.unit_key(self.arity), 0)
 
     def sorted_terms(self):
         """Terms in descending graded-lex order."""
         return sorted(self.terms.items(), key=lambda kv: _grlex(kv[0]), reverse=True)
-
-    def __eq__(self, other):
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        return self.arity == other.arity and self.terms == other.terms
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
-    __hash__ = None
 
     def __repr__(self):
         return f"MultiPoly({self.arity}, {self.format()})"
 
     # -- arithmetic ----------------------------------------------------
 
-    def _check(self, other):
-        if self.arity != other.arity:
-            raise ValueError(f"arity mismatch: {self.arity} != {other.arity}")
-
-    def __add__(self, other):
-        if not isinstance(other, MultiPoly):
-            other = MultiPoly.constant(self.arity, other)
-        self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            nc = out.get(e, 0) + c
-            if nc == 0:
-                out.pop(e, None)
-            else:
-                out[e] = nc
-        return MultiPoly(self.arity, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return MultiPoly(self.arity, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, MultiPoly):
-            other = MultiPoly.constant(self.arity, other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):
-            # scalar
-            if other == 0:
-                return MultiPoly(self.arity)
-            return MultiPoly(self.arity, {e: c * other for e, c in self.terms.items()})
+            return self._scale(other)
         self._check(other)
         out = {}
         get = out.get
@@ -176,12 +239,7 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        out = MultiPoly.one(self.arity)
-        for _ in range(n):
-            out = out * self
-        return out
+        return power(self, n, MultiPoly.one(self.arity), _mul)
 
     def partial(self, i: int):
         """Exact partial derivative with respect to variable i."""
@@ -273,38 +331,11 @@ class MultiPoly:
             total += v
         return total
 
-    def format(self, names=None) -> str:
-        """Human-readable form, graded-lex descending."""
-        if not self.terms:
-            return "0"
-        if names is None:
-            names = [f"x{i + 1}" for i in range(self.arity)]
-        parts = []
-        for e, c in self.sorted_terms():
-            factors = []
-            for name, k in zip(names, e):
-                if k == 1:
-                    factors.append(name)
-                elif k > 1:
-                    factors.append(f"{name}^{k}")
-            body = "*".join(factors)
-            cf = as_fraction(c)
-            if not body:
-                piece = str(cf)
-            elif cf == 1:
-                piece = body
-            elif cf == -1:
-                piece = f"-{body}"
-            else:
-                piece = f"{cf}*{body}"
-            parts.append(piece)
-        text = parts[0]
-        for piece in parts[1:]:
-            if piece.startswith("-"):
-                text += " - " + piece[1:]
-            else:
-                text += " + " + piece
-        return text
+    def format(self) -> str:
+        """Human-readable form in x1, x2, ..., graded-lex descending."""
+        return _join_terms(
+            (c, "*".join(_power_text(f"x{i + 1}", k) for i, k in enumerate(e) if k))
+            for e, c in self.sorted_terms())
 
 
 class UniPoly:
@@ -368,10 +399,6 @@ class UniPoly:
             return NotImplemented
         return self.symbol == other.symbol and self.coeffs == other.coeffs
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     def __hash__(self):
         return hash((self.symbol, self.coeffs))
 
@@ -426,12 +453,7 @@ class UniPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        out = UniPoly.constant(self.symbol, 1)
-        for _ in range(n):
-            out = out * self
-        return out
+        return power(self, n, UniPoly.constant(self.symbol, 1), _mul)
 
     def evaluate(self, x):
         total = 0
@@ -477,32 +499,9 @@ class UniPoly:
         return UniPoly(self.symbol, list(reversed(quot))), rem
 
     def format(self) -> str:
-        if self.is_zero():
-            return "0"
-        t = self.symbol
-        parts = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = as_fraction(self.coeffs[k])
-            if c == 0:
-                continue
-            if k == 0:
-                body = str(c)
-            else:
-                var = t if k == 1 else f"{t}^{k}"
-                if c == 1:
-                    body = var
-                elif c == -1:
-                    body = f"-{var}"
-                else:
-                    body = f"{c}*{var}"
-            parts.append(body)
-        text = parts[0]
-        for piece in parts[1:]:
-            if piece.startswith("-"):
-                text += " - " + piece[1:]
-            else:
-                text += " + " + piece
-        return text
+        return _join_terms((self.coeffs[k], _power_text(self.symbol, k))
+                           for k in range(len(self.coeffs) - 1, -1, -1)
+                           if self.coeffs[k] != 0)
 
 
 def _divisors(n: int):

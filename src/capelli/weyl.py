@@ -1,8 +1,10 @@
 """Polynomial-coefficient differential operators and the twisted module.
 
-A WeylOp is kept in normal order: every term is x^alpha d^beta.  Products
-are re-normalized through the Leibniz exchange d^b x^c = sum_k C(b,k) *
-c!/(c-k)! * x^(c-k) d^(b-k), applied componentwise.
+A WeylOp is kept in normal order: every term is x^alpha d^beta.  It shares
+its sums, scalar multiples and equality with MultiPoly through
+poly.TermMap, and differs only in its keys (alpha, beta) and its product.
+Products are re-normalized through the Leibniz exchange
+d^b x^c = sum_k C(b,k) * c!/(c-k)! * x^(c-k) d^(b-k), applied componentwise.
 
 The twisted module carries elements q(x,s) * f^(s-m) for a fixed context
 polynomial f; a single extra symbol s is adjoined as the last variable of
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from itertools import product as _iproduct
 from math import comb
 
-from .poly import MultiPoly, UniPoly
+from .poly import MultiPoly, TermMap, UniPoly
 
 
 class NotProportional(Exception):
@@ -32,27 +34,21 @@ def _falling(n: int, k: int) -> int:
     return out
 
 
-class WeylOp:
-    """Normally ordered differential operator: map (alpha, beta) -> coefficient."""
+class WeylOp(TermMap):
+    """Normally ordered differential operator: map (alpha, beta) -> coefficient.
 
-    __slots__ = ("arity", "terms")
+    The sums, scalar multiples and equality come from ``poly.TermMap``;
+    ``*`` between operators is ``weyl_mul``.
+    """
 
-    def __init__(self, arity: int, terms=None):
-        self.arity = arity
-        self.terms = {} if terms is None else terms
+    __slots__ = ()
+
+    @staticmethod
+    def unit_key(arity):
+        z = (0,) * arity
+        return (z, z)
 
     # -- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls, arity):
-        return cls(arity)
-
-    @classmethod
-    def constant(cls, arity, c):
-        if c == 0:
-            return cls(arity)
-        z = (0,) * arity
-        return cls(arity, {(z, z): c})
 
     @classmethod
     def from_poly(cls, p: MultiPoly):
@@ -84,67 +80,17 @@ class WeylOp:
             terms[(e, e)] = 1
         return cls(arity, terms)
 
-    # -- structure -----------------------------------------------------
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, WeylOp):
-            return NotImplemented
-        return self.arity == other.arity and self.terms == other.terms
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
-    __hash__ = None
-
     def __repr__(self):
         return f"WeylOp({self.arity}, {len(self.terms)} terms)"
 
-    def _check(self, other):
-        if self.arity != other.arity:
-            raise ValueError(f"arity mismatch: {self.arity} != {other.arity}")
-
-    def __add__(self, other):
-        if not isinstance(other, WeylOp):
-            other = WeylOp.constant(self.arity, other)
-        self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            nc = out.get(k, 0) + c
-            if nc == 0:
-                out.pop(k, None)
-            else:
-                out[k] = nc
-        return WeylOp(self.arity, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return WeylOp(self.arity, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, WeylOp):
-            other = WeylOp.constant(self.arity, other)
-        return self + (-other)
-
     def __mul__(self, other):
         if not isinstance(other, WeylOp):
-            if other == 0:
-                return WeylOp(self.arity)
-            return WeylOp(self.arity, {k: c * other for k, c in self.terms.items()})
+            return self._scale(other)
         return weyl_mul(self, other)
 
     def __rmul__(self, other):
-        # scalar * op only; operator products must preserve order
-        if isinstance(other, WeylOp):
-            return NotImplemented
-        return self.__mul__(other)
-
-    def apply(self, p: MultiPoly) -> MultiPoly:
-        return weyl_apply(self, p)
+        # only a scalar reaches here: op * op goes to __mul__, in order
+        return self._scale(other)
 
 
 def weyl_mul(a: WeylOp, b: WeylOp) -> WeylOp:

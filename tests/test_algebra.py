@@ -179,3 +179,9 @@ class TestConfluence:
     def test_trials_validated(self, pres4):
         with pytest.raises(ValueError):
             confluence_fuzz(pres4, trials=0, seed=1)
+
+
+class TestPower:
+    def test_negative_exponent_rejected(self, pres4):
+        with pytest.raises(ValueError):
+            a_pow(AElement.generator(pres4, F), -1)

@@ -97,6 +97,12 @@ class TestAlgebra:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_nf_long_flat_chain(self, capsys):
+        # a left-deep tree 3,000 levels deep, far past the recursion limit
+        text = "+".join(["1"] * 3000)
+        assert run_cli(["algebra", "nf", "--case", "4", "--size", "2", text]) == 0
+        assert capsys.readouterr().out.strip() == "3000"
+
 
 class TestModule:
     def test_ladder_json_roundtrip(self, capsys):

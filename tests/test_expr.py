@@ -8,6 +8,7 @@ from capelli.bfunction import presentation_for
 from capelli.catalog import instantiate
 from capelli.expr import (MAX_NESTING, BinOp, ExprError, Pow, RatLit, Sym,
                           element_to_expr, eval_expr, fmt_expr, parse_expr)
+from capelli.poly import UniPoly
 
 
 @pytest.fixture(scope="module")
@@ -146,3 +147,10 @@ class TestElementPrinter:
         text = fmt_expr(element_to_expr(elt))
         assert text == "0 - 3/2"
         assert eval_expr(parse_expr(text), pres) == elt
+
+    def test_long_element_prints_without_deep_recursion(self, pres):
+        # 1,200 terms make a left-deep '+' chain; texts are compared, since
+        # dataclass == on so deep a tree would recurse as well
+        elt = AElement(pres, {0: UniPoly(THETA, [1] * 1200)})
+        want = " + ".join([f"theta^{k}" for k in range(1199, 1, -1)] + ["theta", "1"])
+        assert fmt_expr(element_to_expr(elt)) == want

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from capelli.poly import MultiPoly, UniPoly, rational_roots
+from capelli.poly import MultiPoly, UniPoly, power, rational_roots
 
 
 def x(i, arity=2):
@@ -169,3 +169,21 @@ class TestRationalRoots:
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ValueError):
             rational_roots(UniPoly.zero("s"))
+
+
+class TestPower:
+    def test_multiplies_left_to_right(self):
+        # string concatenation is not commutative, so the order shows
+        assert power("x", 3, "1", lambda acc, x: f"({acc}*{x})") == "(((1*x)*x)*x)"
+        assert power("x", 0, "1", None) == "1"
+
+    @pytest.mark.parametrize("n", [-1, 1.0, Fraction(1)])
+    def test_exponent_validated(self, n):
+        with pytest.raises(ValueError):
+            power("x", n, "1", lambda acc, x: acc + x)
+
+    def test_polynomial_powers_agree(self):
+        p = x(0) + 2 * x(1) - 1
+        assert p ** 3 == p * p * p and p ** 0 == MultiPoly.one(2)
+        u = UniPoly("s", (1, 1))
+        assert u ** 3 == UniPoly("s", (1, 3, 3, 1)) and u ** 0 == UniPoly("s", (1,))

@@ -158,3 +158,31 @@ class TestTwisted:
         e = TwistedElement(MultiPoly.variable(3, 0), 0)
         with pytest.raises(NotProportional):
             twisted_scalar_profile(e, inst.f, 0)
+
+
+class TestSharedTermMap:
+    def test_never_equal_to_a_polynomial(self):
+        # both have terms == {} and arity 2
+        assert MultiPoly.zero(2) != WeylOp.zero(2)
+        assert WeylOp.zero(2) != MultiPoly.zero(2)
+        assert not MultiPoly.zero(2) == WeylOp.zero(2)
+
+    def test_unhashable(self):
+        for value in (MultiPoly.one(2), WeylOp.euler(2)):
+            with pytest.raises(TypeError):
+                hash(value)
+
+    def test_arity_mismatch(self):
+        with pytest.raises(ValueError):
+            WeylOp.euler(2) + WeylOp.euler(3)
+
+    def test_scalar_zero_and_self_difference(self):
+        op = WeylOp.euler(2) + WeylOp.partial(2, 0)
+        assert (0 * op).is_zero() and (op * 0).is_zero()
+        assert (op - op).is_zero()
+        assert 2 * op == op + op == op * 2
+
+    def test_constants(self):
+        theta = WeylOp.euler(2)
+        assert WeylOp.one(2) * theta == theta == theta * WeylOp.one(2)
+        assert (1 - theta) + theta == WeylOp.constant(2, 1)
