@@ -15,16 +15,27 @@ Every element has a unique normal form
 
     sum_{a>=1} f^a p_a(theta)  +  p_0(theta)  +  sum_{b>=1} q_b(theta) Delta^b
 
-(basis {f^a theta^k} u {theta^k Delta^b}).  Products of basis words stay
-single basis words, so multiplication reduces to shift bookkeeping; the
-confluence fuzzer checks that no rewriting order can disagree.
+(basis {f^a theta^k} u {theta^k Delta^b}).  This is the generalized Weyl
+algebra C[theta](sigma: theta -> theta - d, B), so basis words multiply in
+closed form.  With key k >= 0 for f^k p(theta) and k < 0 for
+p(theta) Delta^(-k), the product of (k1, p1) and (k2, p2) is the word of
+key k = k1 + k2 with polynomial
+
+    p1(theta + s1*d) * prod_t B(theta + t*d) * p2(theta + s2*d),
+
+where low = min(k, 0), s1 = min(k1, 0) + k2 - low, s2 = min(k2, 0) - low,
+and t runs over |k| <= t < |k| + min(-k1, k2) when k1 < 0 <= k2 (Delta^b f^a
+contracts), over -min(k1, -k2) <= t <= -1 when k2 < 0 <= k1 (f^a Delta^b
+contracts), and over nothing otherwise.  The confluence fuzzer checks that
+no rewriting order disagrees.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .poly import UniPoly, as_fraction, format_rational, power
 
@@ -37,12 +48,10 @@ FUZZ_MAX_LEN = 8      # longest random word confluence_fuzz draws
 
 @dataclass(frozen=True)
 class APresentation:
-    """Degree d plus the contraction polynomial B(theta) of the (Delta f) relation."""
+    """Degree d and the contraction polynomial B(theta); B(d*s) = c * b_monic(s)."""
 
     d: int
     B: UniPoly
-    c: Fraction = field(compare=False, default=Fraction(1))
-    b_monic: UniPoly = field(compare=False, default=None)
 
     @classmethod
     def from_b(cls, d: int, c, b_monic: UniPoly):
@@ -54,8 +63,7 @@ class APresentation:
         c = as_fraction(c)
         if c <= 0:
             raise ValueError("the constant c must be positive")
-        B = (b_monic.scale_arg(Fraction(1, d)) * c).with_symbol(THETA)
-        return cls(d=d, B=B, c=c, b_monic=b_monic.with_symbol("s"))
+        return cls(d=d, B=(b_monic.scale_arg(Fraction(1, d)) * c).with_symbol(THETA))
 
     def __post_init__(self):
         if self.B.degree() != self.d:
@@ -64,11 +72,16 @@ class APresentation:
             raise ValueError("B must have positive leading coefficient")
         if self.B.evaluate(-self.d) != 0:
             raise ValueError("B(-d) must vanish (theta = 0 must solve the fDelta relation)")
-        if self.b_monic is None:
-            scaled = self.B.scale_arg(self.d)      # t |-> B(d*t) = c * b(t)
-            cval = as_fraction(scaled.leading())
-            object.__setattr__(self, "b_monic", (scaled * (1 / cval)).with_symbol("s"))
-            object.__setattr__(self, "c", cval)
+
+    @property
+    def c(self) -> Fraction:
+        """Leading coefficient of B(d*s)."""
+        return as_fraction(self.B.leading() * self.d ** self.d)
+
+    @property
+    def b_monic(self) -> UniPoly:
+        """The monic b(s) = B(d*s) / c."""
+        return (self.B.scale_arg(self.d) * (1 / self.c)).with_symbol("s")
 
     def edge_scalar(self, s_value) -> Fraction:
         """c * b(s_value): the Delta-edge scalar of ladder modules."""
@@ -126,43 +139,30 @@ class AElement:
     __hash__ = None
 
     def __repr__(self):
-        return f"AElement({self.format()})"
+        from .expr import element_to_expr, fmt_expr    # expr imports this module
+        return f"AElement({fmt_expr(element_to_expr(self))})"
 
     def _check(self, other):
         if self.pres != other.pres:
             raise ValueError("presentation mismatch")
 
-    def format(self) -> str:
-        if not self.parts:
-            return "0"
-        pieces = []
-        for k in sorted(self.parts, reverse=True):
-            p = self.parts[k]
-            body = p.format()
-            if k == 0:
-                pieces.append(body)
-            else:
-                head = (F if k == 1 else f"{F}^{k}") if k > 0 else \
-                    (DELTA if k == -1 else f"{DELTA}^{-k}")
-                if p.degree() == 0 and p.coeffs[0] == 1:
-                    pieces.append(head)
-                elif k > 0:
-                    pieces.append(f"{head}*({body})")
-                else:
-                    pieces.append(f"({body})*{head}")
-        return "  +  ".join(pieces)
+
+def _collect(pres: APresentation, parts) -> AElement:
+    """Sum (key, theta-polynomial) pairs into an element, dropping zero parts."""
+    out = {}
+    for k, p in parts:
+        if k in out:
+            p = out[k] + p
+        if p.is_zero():
+            out.pop(k, None)
+        else:
+            out[k] = p
+    return AElement(pres, out)
 
 
 def a_add(x: AElement, y: AElement) -> AElement:
     x._check(y)
-    out = dict(x.parts)
-    for k, p in y.parts.items():
-        np = out.get(k, UniPoly.zero(THETA)) + p
-        if np.is_zero():
-            out.pop(k, None)
-        else:
-            out[k] = np
-    return AElement(x.pres, out)
+    return _collect(x.pres, chain(x.parts.items(), y.parts.items()))
 
 
 def a_neg(x: AElement) -> AElement:
@@ -173,56 +173,26 @@ def a_sub(x: AElement, y: AElement) -> AElement:
     return a_add(x, a_neg(y))
 
 
-def _contract_right(pres: APresentation, a: int, p: UniPoly, b: int):
-    """Normal form of f^a p(theta) Delta^b: contract f against Delta from the inside."""
-    d = pres.d
-    while a > 0 and b > 0:
-        # f * p(theta) * Delta = p(theta-d) B(theta-d)
-        p = p.shift(-d) * pres.B.shift(-d)
-        a -= 1
-        b -= 1
-    return a, p, b
-
-
-def _delta_pow_f_pow(pres: APresentation, b: int, a: int):
-    """Normal form of Delta^b f^a as a single basis word (a', p, b')."""
-    d = pres.d
-    p = UniPoly.constant(THETA, 1)
-    while a > 0 and b > 0:
-        # Delta^b f = B(theta + (b-1)d) Delta^(b-1), accumulated on the left
-        p = pres.B.shift((b - 1) * d) * p
-        a -= 1
-        b -= 1
-    if a > 0:
-        # R(theta) f^a = f^a R(theta + a*d)
-        return a, p.shift(a * d), 0
-    return 0, p, b
-
-
 def _basis_mul(pres: APresentation, k1: int, p1: UniPoly, k2: int, p2: UniPoly):
-    """Product of two basis words; returns (key, theta-polynomial)."""
-    d = pres.d
-    a1, b1 = (k1, 0) if k1 >= 0 else (0, -k1)
-    a2, b2 = (k2, 0) if k2 >= 0 else (0, -k2)
-    am, pm, bm = _delta_pow_f_pow(pres, b1, a2)
-    # f^a1 p1(theta) [f^am pm(theta) Delta^bm] p2(theta) Delta^b2
-    p = p1.shift(am * d) * pm * p2.shift(bm * d)
-    a, p, b = _contract_right(pres, a1 + am, p, bm + b2)
-    return (a if b == 0 else -b), p
+    """Product of two basis words by the closed-form rule; returns (key, theta-polynomial)."""
+    d, B = pres.d, pres.B
+    k = k1 + k2
+    low = min(k, 0)
+    steps = ()
+    if k1 < 0 <= k2:
+        steps = range(abs(k), abs(k) + min(-k1, k2))
+    elif k2 < 0 <= k1:
+        steps = range(-min(k1, -k2), 0)
+    p = p1.shift((min(k1, 0) + k2 - low) * d)
+    for t in steps:
+        p = p * B.shift(t * d)
+    return k, p * p2.shift((min(k2, 0) - low) * d)
 
 
 def a_mul(x: AElement, y: AElement) -> AElement:
     x._check(y)
-    out = {}
-    for k1, p1 in x.parts.items():
-        for k2, p2 in y.parts.items():
-            k, p = _basis_mul(x.pres, k1, p1, k2, p2)
-            np = out.get(k, UniPoly.zero(THETA)) + p
-            if np.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = np
-    return AElement(x.pres, out)
+    return _collect(x.pres, (_basis_mul(x.pres, k1, p1, k2, p2)
+                             for k1, p1 in x.parts.items() for k2, p2 in y.parts.items()))
 
 
 def a_pow(x: AElement, n: int) -> AElement:
@@ -245,10 +215,7 @@ def from_word(pres: APresentation, word) -> AElement:
 
 def graded_components(x: AElement) -> dict:
     """Split into theta-adjoint-degree homogeneous pieces, keyed by the degree."""
-    out = {}
-    for k, p in x.parts.items():
-        out[k * x.pres.d] = AElement(x.pres, {k: p})
-    return out
+    return {k * x.pres.d: AElement(x.pres, {k: p}) for k, p in x.parts.items()}
 
 
 # -- confluence checking ------------------------------------------------

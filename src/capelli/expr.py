@@ -103,6 +103,14 @@ def _tokenize(text: str):
 # -- parser ---------------------------------------------------------------
 
 
+def _numeral(digits: str, pos: int) -> int:
+    """int(digits), as a syntax error when it exceeds the interpreter's digit limit."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ExprError(f"numeral too long ({len(digits)} digits)", pos) from None
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
@@ -152,7 +160,7 @@ class _Parser:
             tok = self.expect("NUM")
             if "/" in tok[1]:
                 raise ExprError("exponent must be a nonnegative integer", tok[2])
-            k = int(tok[1])
+            k = _numeral(tok[1], tok[2])
             if k > MAX_EXPONENT:
                 raise ExprError(f"exponent overflow (> {MAX_EXPONENT})", tok[2])
             node = Pow(node, k)
@@ -167,11 +175,11 @@ class _Parser:
         if kind == "NUM":
             self.advance()
             if "/" in tok[1]:
-                num, den = tok[1].split("/")
-                if int(den) == 0:
+                num, den = (_numeral(part, tok[2]) for part in tok[1].split("/"))
+                if den == 0:
                     raise ExprError("zero denominator", tok[2])
-                return RatLit(Fraction(int(num), int(den)))
-            return RatLit(Fraction(int(tok[1])))
+                return RatLit(Fraction(num, den))
+            return RatLit(Fraction(_numeral(tok[1], tok[2])))
         if kind == "(":
             if self.nesting == MAX_NESTING:
                 raise ExprError(f"parentheses nested deeper than {MAX_NESTING}", tok[2])

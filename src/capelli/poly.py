@@ -87,8 +87,9 @@ class TermMap:
     The additive structure shared by MultiPoly (keys are exponent vectors)
     and weyl.WeylOp (keys are pairs of them).  Zero coefficients are never
     stored, so equality of the term maps is equality of the values; values
-    of different subclasses are never equal.  A subclass supplies its unit
-    key and its product.
+    of different subclasses are never equal, and adding or multiplying
+    them raises TypeError.  A subclass supplies its unit key and its
+    product.
     """
 
     __slots__ = ("arity", "terms")
@@ -137,6 +138,8 @@ class TermMap:
 
     def __add__(self, other):
         if type(other) is not type(self):
+            if isinstance(other, TermMap):
+                return NotImplemented       # neither is a scalar of the other
             other = self.constant(self.arity, other)
         self._check(other)
         out = dict(self.terms)
@@ -160,6 +163,8 @@ class TermMap:
         return (-self) + other
 
     def _scale(self, c):
+        if isinstance(c, TermMap):
+            raise TypeError(f"cannot multiply {type(self).__name__} and {type(c).__name__}")
         if c == 0:
             return type(self)(self.arity)
         return type(self)(self.arity, {k: v * c for k, v in self.terms.items()})

@@ -159,16 +159,44 @@ class TestGrading:
             assert bracket == a_mul(AElement.scalar(pres4, k), comp)
 
 
+def pair_id(key):
+    return "case%d-size%d" % key
+
+
+# one pair each with d = 2, 3 and 4
+PAIRS_D234 = [(4, 2), (4, 3), (8, 4)]
+
+
 class TestConfluence:
-    def test_fuzz_clean(self, pres4):
-        report = confluence_fuzz(pres4, trials=300, seed=42)
+    @pytest.mark.parametrize("key", PAIRS_D234, ids=pair_id)
+    def test_fuzz_clean(self, key, min_presentations):
+        report = confluence_fuzz(min_presentations[key], trials=300, seed=42)
         assert report.passed
         assert report.trials == 300
 
-    def test_exhaustive_small(self, pres1):
-        report = confluence_exhaustive(pres1, 4)
+    @pytest.mark.parametrize("key", [(1, 2), (4, 3), (8, 4)], ids=pair_id)
+    def test_exhaustive_small(self, key, min_presentations):
+        report = confluence_exhaustive(min_presentations[key], 4)
         assert report.passed
         assert report.words_checked == 3 + 9 + 27 + 81
+
+    @pytest.mark.parametrize("key", PAIRS_D234, ids=pair_id)
+    def test_mul_associative_property(self, key, min_presentations):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        pres = min_presentations[key]
+        polys = st.lists(st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)),
+                         min_size=1, max_size=3)
+        elements = st.dictionaries(st.integers(-3, 3), polys, max_size=3).map(
+            lambda parts: AElement(pres, {k: p for k, cs in parts.items()
+                                          if not (p := UniPoly(THETA, cs)).is_zero()}))
+
+        @hypothesis.settings(max_examples=60, deadline=None, database=None, derandomize=True)
+        @hypothesis.given(elements, elements, elements)
+        def associative(x, y, z):
+            assert a_mul(a_mul(x, y), z) == a_mul(x, a_mul(y, z))
+
+        associative()
 
     def test_overlap_word_two_routes(self, pres4):
         # Delta f Delta f reduced either way gives B(theta)^2

@@ -103,6 +103,14 @@ class TestAlgebra:
         assert run_cli(["algebra", "nf", "--case", "4", "--size", "2", text]) == 0
         assert capsys.readouterr().out.strip() == "3000"
 
+    @pytest.mark.parametrize("text", ["9" * 5000, "f^" + "1" * 5000, "1/" + "3" * 5000],
+                             ids=["integer", "exponent", "denominator"])
+    def test_nf_numeral_past_the_digit_limit_is_usage_error(self, text, capsys):
+        # 5,000 digits is past the interpreter's 4,300-digit int-string limit
+        assert run_cli(["algebra", "nf", "--case", "4", "--size", "2", text]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 class TestModule:
     def test_ladder_json_roundtrip(self, capsys):

@@ -73,6 +73,17 @@ class TestParseErrors:
         with pytest.raises(ExprError):
             parse_expr("f^(2)")
 
+    @pytest.mark.parametrize("text,pos", [
+        ("9" * 5000, 0),
+        ("f^" + "1" * 5000, 2),
+        ("theta + 1/" + "3" * 5000, 8),
+    ], ids=["integer", "exponent", "denominator"])
+    def test_numeral_past_the_digit_limit(self, text, pos):
+        with pytest.raises(ExprError) as err:
+            parse_expr(text)
+        assert err.value.pos == pos
+        assert "too long" in str(err.value)
+
     def test_exponent_overflow(self):
         with pytest.raises(ExprError) as err:
             parse_expr("f^10000000")

@@ -186,3 +186,14 @@ class TestSharedTermMap:
         theta = WeylOp.euler(2)
         assert WeylOp.one(2) * theta == theta == theta * WeylOp.one(2)
         assert (1 - theta) + theta == WeylOp.constant(2, 1)
+
+    @pytest.mark.parametrize("combine", [
+        pytest.param(lambda: MultiPoly.one(2) + WeylOp.one(2), id="poly-plus-op"),
+        pytest.param(lambda: MultiPoly.one(2) * WeylOp.euler(2), id="poly-times-op"),
+        pytest.param(lambda: WeylOp.euler(2) * MultiPoly.one(2), id="op-times-poly"),
+        pytest.param(lambda: WeylOp.one(2) - MultiPoly.one(2), id="op-minus-poly"),
+    ])
+    def test_polynomial_and_operator_do_not_combine(self, combine):
+        # neither is a scalar of the other
+        with pytest.raises(TypeError):
+            combine()
