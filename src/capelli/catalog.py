@@ -1,10 +1,13 @@
 """The eight Capelli-type representations with one-dimensional quotient.
 
-Each case ships a constructor producing the relative invariant f, its
-dual constant-coefficient operator Delta, the Euler operator theta, and
-the monic b-polynomial printed in the published table.  Two table rows
-are internally inconsistent (their printed b does not fit deg f); those
-rows carry a ``disputed`` flag together with a corrected rule, and the
+Each table row carries its builder, which returns the variable names,
+the relative invariant f and the polynomial g whose constant-coefficient
+operator g(d) is the dual operator Delta; g = f except in case (2), whose
+dual puts half weights on the off-diagonal entries.  One generic
+constructor adds the Euler operator theta, reads d = deg f off f, and
+attaches the monic b-polynomial printed in the published table.  Two
+table rows are internally inconsistent (their printed b does not fit
+deg f); those rows carry a corrected rule and count as disputed, and the
 differential-operator oracle is the authority on which is right.
 """
 
@@ -24,6 +27,7 @@ from .weyl import WeylOp
 class CaseSpec:
     case_id: int
     name: str
+    build: Callable[[int], tuple]    # size -> (variable names, f, g); Delta = g(d)
     fixed_size: Optional[int]        # None for parametric cases
     min_size: int
     even_only: bool
@@ -32,11 +36,14 @@ class CaseSpec:
     deg_f: Callable[[int], int]
     b_rule: str                      # as printed in the table
     printed_b_offsets: Callable[[int], list]
-    corrected_b_offsets: Optional[Callable[[int], list]]
-    corrected_b_rule: Optional[str]
-    disputed: bool
     isotropy_g: str                  # generic isotropy in G (display only)
     isotropy_derived: str            # generic isotropy in G' (display only)
+    corrected_b_offsets: Optional[Callable[[int], list]] = None   # disputed rows only
+    corrected_b_rule: Optional[str] = None
+
+    @property
+    def disputed(self) -> bool:
+        return self.corrected_b_offsets is not None
 
     def valid_size(self, n: int) -> bool:
         if self.fixed_size is not None:
@@ -93,124 +100,6 @@ class CaseInstance:
         return len(self.variables)
 
 
-def _half(i: int) -> Fraction:
-    return Fraction(i, 2)
-
-
-CASES = [
-    CaseSpec(
-        case_id=1,
-        name="(SO(n) x C*, C^n)",
-        fixed_size=None, min_size=2, even_only=False, size_rule="n >= 2",
-        deg_f_rule="2",
-        deg_f=lambda n: 2,
-        b_rule="(s+1)(s+n/2)",
-        printed_b_offsets=lambda n: [Fraction(1), _half(n)],
-        corrected_b_offsets=None, corrected_b_rule=None, disputed=False,
-        isotropy_g="SO(1) x SO(n-1)", isotropy_derived="SO(1) x SO(n-1)",
-    ),
-    CaseSpec(
-        case_id=2,
-        name="(GL(n), Sym^2 C^n)",
-        fixed_size=None, min_size=2, even_only=False, size_rule="n >= 2",
-        deg_f_rule="n",
-        deg_f=lambda n: n,
-        b_rule="prod_{i=1..n} (s+(i+1)/2)",
-        printed_b_offsets=lambda n: [_half(i + 1) for i in range(1, n + 1)],
-        corrected_b_offsets=None, corrected_b_rule=None, disputed=False,
-        isotropy_g="O(n)", isotropy_derived="SO(n)",
-    ),
-    CaseSpec(
-        case_id=3,
-        name="(GL(n), Alt^2 C^n), n even",
-        fixed_size=None, min_size=4, even_only=True, size_rule="n even, n >= 4",
-        deg_f_rule="n/2",
-        deg_f=lambda n: n // 2,
-        b_rule="prod_{i=1..n} (s+2i-1)",
-        printed_b_offsets=lambda n: [Fraction(2 * i - 1) for i in range(1, n + 1)],
-        corrected_b_offsets=lambda n: [Fraction(2 * i - 1) for i in range(1, n // 2 + 1)],
-        corrected_b_rule="prod_{i=1..n/2} (s+2i-1)",
-        disputed=True,
-        isotropy_g="Sp(n/2)", isotropy_derived="Sp(n/2)",
-    ),
-    CaseSpec(
-        case_id=4,
-        name="(GL(n) x SL(n), M_n(C))",
-        fixed_size=None, min_size=2, even_only=False, size_rule="n >= 2",
-        deg_f_rule="n",
-        deg_f=lambda n: n,
-        b_rule="prod_{i=1..n} (s+i)",
-        printed_b_offsets=lambda n: [Fraction(i) for i in range(1, n + 1)],
-        corrected_b_offsets=None, corrected_b_rule=None, disputed=False,
-        isotropy_g="Sp(1) x Sp(n-1)", isotropy_derived="Sp(1) x Sp(n-1)",
-    ),
-    CaseSpec(
-        case_id=5,
-        name="(Sp(n) x GL(2), (C^2n)^2)",
-        fixed_size=None, min_size=2, even_only=False, size_rule="n >= 2",
-        deg_f_rule="2",
-        deg_f=lambda n: 2,
-        b_rule="(s+1)(s+2n)",
-        printed_b_offsets=lambda n: [Fraction(1), Fraction(2 * n)],
-        corrected_b_offsets=None, corrected_b_rule=None, disputed=False,
-        isotropy_g="SL(n)", isotropy_derived="SL(n)",
-    ),
-    CaseSpec(
-        case_id=6,
-        name="(SO(7) x C*, spin C^8)",
-        fixed_size=8, min_size=8, even_only=False, size_rule="fixed, 8",
-        deg_f_rule="2",
-        deg_f=lambda n: 2,
-        b_rule="(s+2)(s+4)",
-        printed_b_offsets=lambda n: [Fraction(2), Fraction(4)],
-        corrected_b_offsets=lambda n: [Fraction(1), Fraction(4)],
-        corrected_b_rule="(s+1)(s+4)",
-        disputed=True,
-        isotropy_g="SO(1) x SO(6)", isotropy_derived="SO(1) x SO(6)",
-    ),
-    CaseSpec(
-        case_id=7,
-        name="(G_2 x C*, C^7)",
-        fixed_size=7, min_size=7, even_only=False, size_rule="fixed, 7",
-        deg_f_rule="2",
-        deg_f=lambda n: 2,
-        b_rule="(s+1)(s+7/2)",
-        printed_b_offsets=lambda n: [Fraction(1), Fraction(7, 2)],
-        corrected_b_offsets=None, corrected_b_rule=None, disputed=False,
-        isotropy_g="", isotropy_derived="",
-    ),
-    CaseSpec(
-        case_id=8,
-        name="(GL(4) x Sp(2), M_4(C))",
-        fixed_size=4, min_size=4, even_only=False, size_rule="fixed, 4",
-        deg_f_rule="4",
-        deg_f=lambda n: 4,
-        b_rule="(s+1)(s+2)(s+3)(s+4)",
-        printed_b_offsets=lambda n: [Fraction(i) for i in range(1, 5)],
-        corrected_b_offsets=None, corrected_b_rule=None, disputed=False,
-        isotropy_g="", isotropy_derived="",
-    ),
-]
-
-# minimal legal size per case, used by `bs verify-all --sizes min`;
-# case (4) is verified at n=3 as well so the degree-3 determinant row
-# is exercised
-MIN_VERIFY_SIZES = [(1, 2), (2, 2), (3, 4), (4, 2), (4, 3), (5, 2), (6, 8), (7, 7), (8, 4)]
-DEFAULT_VERIFY_SIZES = MIN_VERIFY_SIZES + [(1, 4), (2, 3), (3, 6), (5, 3)]
-
-
-def list_cases() -> list:
-    """The eight catalog rows, in order."""
-    return list(CASES)
-
-
-def case_spec(case_id: int) -> CaseSpec:
-    for spec in CASES:
-        if spec.case_id == case_id:
-            return spec
-    raise ValueError(f"no such case: {case_id}")
-
-
 # -- polynomial constructions ------------------------------------------
 
 
@@ -256,62 +145,43 @@ def _pfaffian(indices, var_of_pair, arity) -> MultiPoly:
     return out
 
 
-def _quadric_instance(case_id: int, dim: int, size: int, spec: CaseSpec) -> CaseInstance:
-    names = tuple(f"x{i + 1}" for i in range(dim))
-    f = MultiPoly.zero(dim)
-    for i in range(dim):
-        e = [0] * dim
+def _quadric(n: int):
+    f = MultiPoly.zero(n)
+    for i in range(n):
+        e = [0] * n
         e[i] = 2
-        f = f + MultiPoly.monomial(dim, e, 1)
-    delta = WeylOp.const_coeff_from_poly(f)
-    return CaseInstance(case_id, size, names, f, delta, WeylOp.euler(dim), 2,
-                        spec.expected_b(size))
+        f = f + MultiPoly.monomial(n, e, 1)
+    return tuple(f"x{i + 1}" for i in range(n)), f, f
 
 
-def _case1(n: int, spec: CaseSpec) -> CaseInstance:
-    return _quadric_instance(1, n, n, spec)
-
-
-def _case2(n: int, spec: CaseSpec) -> CaseInstance:
+def _symmetric(n: int):
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
     idx = {}
     for k, (i, j) in enumerate(pairs):
         idx[(i, j)] = k
         idx[(j, i)] = k
-    names = tuple(f"x{i + 1}{j + 1}" for i, j in pairs)
     arity = len(pairs)
     f = _det(lambda i, j: (idx[(i, j)], 1), n, arity)
     # dual operator: half weight on off-diagonal entries
     g = _det(lambda i, j: (idx[(i, j)], 1 if i == j else Fraction(1, 2)), n, arity)
-    delta = WeylOp.const_coeff_from_poly(g)
-    return CaseInstance(2, n, names, f, delta, WeylOp.euler(arity), n, spec.expected_b(n))
+    return tuple(f"x{i + 1}{j + 1}" for i, j in pairs), f, g
 
 
-def _case3(n: int, spec: CaseSpec) -> CaseInstance:
+def _alternating(n: int):
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     idx = {(i, j): k for k, (i, j) in enumerate(pairs)}
-    names = tuple(f"x{i + 1}{j + 1}" for i, j in pairs)
-    arity = len(pairs)
-    f = _pfaffian(tuple(range(n)), idx, arity)
-    delta = WeylOp.const_coeff_from_poly(f)
-    return CaseInstance(3, n, names, f, delta, WeylOp.euler(arity), n // 2,
-                        spec.expected_b(n))
+    f = _pfaffian(tuple(range(n)), idx, len(pairs))
+    return tuple(f"x{i + 1}{j + 1}" for i, j in pairs), f, f
 
 
-def _matrix_instance(case_id: int, n: int, size: int, spec: CaseSpec) -> CaseInstance:
-    idx = {(i, j): i * n + j for i in range(n) for j in range(n)}
-    names = tuple(f"x{i + 1}{j + 1}" for i in range(n) for j in range(n))
-    arity = n * n
-    f = _det(lambda i, j: (idx[(i, j)], 1), n, arity)
-    delta = WeylOp.const_coeff_from_poly(f)
-    return CaseInstance(case_id, size, names, f, delta, WeylOp.euler(arity), n,
-                        spec.expected_b(size))
+def _matrix(n: int):
+    f = _det(lambda i, j: (i * n + j, 1), n, n * n)
+    return tuple(f"x{i + 1}{j + 1}" for i in range(n) for j in range(n)), f, f
 
 
-def _case5(n: int, spec: CaseSpec) -> CaseInstance:
+def _pairing(n: int):
     # two vectors in C^2n; f is the symplectic pairing
     arity = 4 * n
-    names = tuple(f"x{i + 1}" for i in range(2 * n)) + tuple(f"y{i + 1}" for i in range(2 * n))
     f = MultiPoly.zero(arity)
     for i in range(n):
         e1 = [0] * arity
@@ -321,8 +191,126 @@ def _case5(n: int, spec: CaseSpec) -> CaseInstance:
         e2[n + i] = 1
         e2[2 * n + i] = 1               # x_{n+i} * y_i
         f = f + MultiPoly.monomial(arity, e1, 1) - MultiPoly.monomial(arity, e2, 1)
-    delta = WeylOp.const_coeff_from_poly(f)
-    return CaseInstance(5, n, names, f, delta, WeylOp.euler(arity), 2, spec.expected_b(n))
+    names = tuple(f"x{i + 1}" for i in range(2 * n)) + tuple(f"y{i + 1}" for i in range(2 * n))
+    return names, f, f
+
+
+def _half(i: int) -> Fraction:
+    return Fraction(i, 2)
+
+
+CASES = [
+    CaseSpec(
+        case_id=1,
+        name="(SO(n) x C*, C^n)",
+        build=_quadric,
+        fixed_size=None, min_size=2, even_only=False, size_rule="n >= 2",
+        deg_f_rule="2",
+        deg_f=lambda n: 2,
+        b_rule="(s+1)(s+n/2)",
+        printed_b_offsets=lambda n: [Fraction(1), _half(n)],
+        isotropy_g="SO(1) x SO(n-1)", isotropy_derived="SO(1) x SO(n-1)",
+    ),
+    CaseSpec(
+        case_id=2,
+        name="(GL(n), Sym^2 C^n)",
+        build=_symmetric,
+        fixed_size=None, min_size=2, even_only=False, size_rule="n >= 2",
+        deg_f_rule="n",
+        deg_f=lambda n: n,
+        b_rule="prod_{i=1..n} (s+(i+1)/2)",
+        printed_b_offsets=lambda n: [_half(i + 1) for i in range(1, n + 1)],
+        isotropy_g="O(n)", isotropy_derived="SO(n)",
+    ),
+    CaseSpec(
+        case_id=3,
+        name="(GL(n), Alt^2 C^n), n even",
+        build=_alternating,
+        fixed_size=None, min_size=4, even_only=True, size_rule="n even, n >= 4",
+        deg_f_rule="n/2",
+        deg_f=lambda n: n // 2,
+        b_rule="prod_{i=1..n} (s+2i-1)",
+        printed_b_offsets=lambda n: [Fraction(2 * i - 1) for i in range(1, n + 1)],
+        corrected_b_offsets=lambda n: [Fraction(2 * i - 1) for i in range(1, n // 2 + 1)],
+        corrected_b_rule="prod_{i=1..n/2} (s+2i-1)",
+        isotropy_g="Sp(n/2)", isotropy_derived="Sp(n/2)",
+    ),
+    CaseSpec(
+        case_id=4,
+        name="(GL(n) x SL(n), M_n(C))",
+        build=_matrix,
+        fixed_size=None, min_size=2, even_only=False, size_rule="n >= 2",
+        deg_f_rule="n",
+        deg_f=lambda n: n,
+        b_rule="prod_{i=1..n} (s+i)",
+        printed_b_offsets=lambda n: [Fraction(i) for i in range(1, n + 1)],
+        isotropy_g="Sp(1) x Sp(n-1)", isotropy_derived="Sp(1) x Sp(n-1)",
+    ),
+    CaseSpec(
+        case_id=5,
+        name="(Sp(n) x GL(2), (C^2n)^2)",
+        build=_pairing,
+        fixed_size=None, min_size=2, even_only=False, size_rule="n >= 2",
+        deg_f_rule="2",
+        deg_f=lambda n: 2,
+        b_rule="(s+1)(s+2n)",
+        printed_b_offsets=lambda n: [Fraction(1), Fraction(2 * n)],
+        isotropy_g="SL(n)", isotropy_derived="SL(n)",
+    ),
+    CaseSpec(
+        case_id=6,
+        name="(SO(7) x C*, spin C^8)",
+        build=_quadric,
+        fixed_size=8, min_size=8, even_only=False, size_rule="fixed, 8",
+        deg_f_rule="2",
+        deg_f=lambda n: 2,
+        b_rule="(s+2)(s+4)",
+        printed_b_offsets=lambda n: [Fraction(2), Fraction(4)],
+        corrected_b_offsets=lambda n: [Fraction(1), Fraction(4)],
+        corrected_b_rule="(s+1)(s+4)",
+        isotropy_g="SO(1) x SO(6)", isotropy_derived="SO(1) x SO(6)",
+    ),
+    CaseSpec(
+        case_id=7,
+        name="(G_2 x C*, C^7)",
+        build=_quadric,
+        fixed_size=7, min_size=7, even_only=False, size_rule="fixed, 7",
+        deg_f_rule="2",
+        deg_f=lambda n: 2,
+        b_rule="(s+1)(s+7/2)",
+        printed_b_offsets=lambda n: [Fraction(1), Fraction(7, 2)],
+        isotropy_g="", isotropy_derived="",
+    ),
+    CaseSpec(
+        case_id=8,
+        name="(GL(4) x Sp(2), M_4(C))",
+        build=_matrix,
+        fixed_size=4, min_size=4, even_only=False, size_rule="fixed, 4",
+        deg_f_rule="4",
+        deg_f=lambda n: 4,
+        b_rule="(s+1)(s+2)(s+3)(s+4)",
+        printed_b_offsets=lambda n: [Fraction(i) for i in range(1, 5)],
+        isotropy_g="", isotropy_derived="",
+    ),
+]
+
+# minimal legal size per case, used by `bs verify-all --sizes min`;
+# case (4) is verified at n=3 as well so the degree-3 determinant row
+# is exercised
+MIN_VERIFY_SIZES = [(1, 2), (2, 2), (3, 4), (4, 2), (4, 3), (5, 2), (6, 8), (7, 7), (8, 4)]
+DEFAULT_VERIFY_SIZES = MIN_VERIFY_SIZES + [(1, 4), (2, 3), (3, 6), (5, 3)]
+
+
+def list_cases() -> list:
+    """The eight catalog rows, in order."""
+    return list(CASES)
+
+
+def case_spec(case_id: int) -> CaseSpec:
+    for spec in CASES:
+        if spec.case_id == case_id:
+            return spec
+    raise ValueError(f"no such case: {case_id}")
 
 
 def instantiate(case_id: int, size: int) -> CaseInstance:
@@ -337,23 +325,9 @@ def instantiate(case_id: int, size: int) -> CaseInstance:
 @lru_cache(maxsize=None)
 def _instantiate_cached(case_id: int, size: int) -> CaseInstance:
     spec = case_spec(case_id)
-    if case_id == 1:
-        return _case1(size, spec)
-    if case_id == 2:
-        return _case2(size, spec)
-    if case_id == 3:
-        return _case3(size, spec)
-    if case_id == 4:
-        return _matrix_instance(4, size, size, spec)
-    if case_id == 5:
-        return _case5(size, spec)
-    if case_id == 6:
-        return _quadric_instance(6, 8, 8, spec)
-    if case_id == 7:
-        return _quadric_instance(7, 7, 7, spec)
-    if case_id == 8:
-        return _matrix_instance(8, 4, 4, spec)
-    raise ValueError(f"no such case: {case_id}")
+    names, f, g = spec.build(size)
+    return CaseInstance(case_id, size, names, f, WeylOp.const_coeff_from_poly(g),
+                        WeylOp.euler(len(names)), f.total_degree(), spec.expected_b(size))
 
 
 def catalog_json() -> list:

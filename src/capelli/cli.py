@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (including soft disputed-row mismatches), 1 hard
 mismatch / failed verification / non-proportional twisted result, 2
-usage errors (bad flags, bad sizes, bad expressions).
+usage errors (bad flags, bad sizes, bad expressions, and any ValueError a
+command raises, such as a result past the interpreter's int-string limit).
 """
 
 from __future__ import annotations
@@ -302,7 +303,9 @@ def main(argv=None) -> int:
             return 2
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:
+        # a library ValueError is an input the command cannot serve, such as
+        # a result too long to print
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NotProportional as exc:

@@ -201,7 +201,6 @@ def parse_expr(text: str):
 
 _LEVEL_ADD = 1
 _LEVEL_MUL = 2
-_LEVEL_POW = 3
 _LEVEL_ATOM = 4
 
 
@@ -210,17 +209,15 @@ def _fmt(node, parent_level: int) -> str:
         return node.name
     if isinstance(node, RatLit):
         v = node.value
-        text = str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-        level = _LEVEL_ATOM
-        return text if level >= parent_level else f"({text})"
+        return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
     if isinstance(node, Pow):
         # the grammar only allows atoms as bases
         if isinstance(node.base, (Sym, RatLit)):
             base = _fmt(node.base, _LEVEL_ATOM)
         else:
             base = "(" + _fmt(node.base, 0) + ")"
-        text = f"{base}^{node.exponent}"
-        return text if _LEVEL_POW >= parent_level else f"({text})"
+        # never wrapped: a power is never the operand of a tighter binding
+        return f"{base}^{node.exponent}"
     if isinstance(node, BinOp):
         # walk the left spine iteratively: a flat a + b + ... chain is a
         # left-deep tree, one level per operator

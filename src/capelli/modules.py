@@ -12,9 +12,12 @@ matrix identities:
 together with the intertwining F N = N F and D N = N D across edges.
 
 Ladder constructors realize the rank-one modules spanned by the powers
-f^(k+lambda): build_ladder writes the edges straight from the relation
-data, psi_of_ladder recomputes them by genuine differentiation
-(bfunction.delta_scalar), and equivalence_witness checks that after gauge
+f^(k+lambda).  One builder lays out the shared skeleton (weights, N = 0,
+F = 1, window boundaries), and each side supplies its own D edges:
+build_ladder writes them straight from the relation data
+(APresentation.edge_scalar), psi_of_ladder recomputes them by genuine
+differentiation (bfunction.delta_scalar) after checking the theta weight
+at every step, and equivalence_witness checks that after gauge
 normalization the two agree edge for edge.
 """
 
@@ -63,13 +66,6 @@ def mat_mul(m1, m2):
             for j in range(cols):
                 outi[j] += a * m2k[j]
     return out
-
-def mat_eq(m1, m2):
-    if len(m1) != len(m2):
-        return False
-    return all(len(r1) == len(r2) and all(x == y for x, y in zip(r1, r2))
-               for r1, r2 in zip(m1, m2))
-
 
 def mat_is_zero(m):
     return all(all(x == 0 for x in row) for row in m)
@@ -138,6 +134,10 @@ class GradedModule:
             return self.D[alpha]
         return mat_zeros(self.dim(alpha - self.pres.d), self.dim(alpha))
 
+    def theta_at(self, alpha, weight):
+        """theta on the space at alpha, read as weight*I + N_alpha."""
+        return mat_add(mat_scale(weight, mat_identity(self.dim(alpha))), self.n_at(alpha))
+
     def to_json_dict(self) -> dict:
         def fmt_matrix(m):
             return [[format_rational(x) for x in row] for row in m]
@@ -170,23 +170,17 @@ def validate(T: GradedModule) -> list:
         has_down = down in T.dims and alpha not in T.d_boundary
         if has_up:
             f_a = T.f_at(alpha)
-            if not mat_eq(mat_mul(f_a, n_a), mat_mul(T.n_at(up), f_a)):
+            if mat_mul(f_a, n_a) != mat_mul(T.n_at(up), f_a):
                 out.append(Violation(alpha, "FN", "F does not intertwine N"))
             # up then down: D_{a+d} F_a = B(a*I + N_a)
-            lhs = mat_mul(T.d_at(up), f_a)
-            theta = mat_add(mat_scale(alpha, mat_identity(T.dim(alpha))), n_a)
-            rhs = mat_poly(B, theta)
-            if not mat_eq(lhs, rhs):
+            if mat_mul(T.d_at(up), f_a) != mat_poly(B, T.theta_at(alpha, alpha)):
                 out.append(Violation(alpha, "delta-f", "D.F != B(theta) at this weight"))
         if has_down:
             d_a = T.d_at(alpha)
-            if not mat_eq(mat_mul(d_a, n_a), mat_mul(T.n_at(down), d_a)):
+            if mat_mul(d_a, n_a) != mat_mul(T.n_at(down), d_a):
                 out.append(Violation(alpha, "DN", "D does not intertwine N"))
             # down then up: F_{a-d} D_a = B((a-d)*I + N_a)
-            lhs = mat_mul(T.f_at(down), d_a)
-            theta = mat_add(mat_scale(down, mat_identity(T.dim(alpha))), n_a)
-            rhs = mat_poly(B, theta)
-            if not mat_eq(lhs, rhs):
+            if mat_mul(T.f_at(down), d_a) != mat_poly(B, T.theta_at(alpha, down)):
                 out.append(Violation(alpha, "f-delta", "F.D != B(theta-d) at this weight"))
     return out
 
@@ -205,16 +199,12 @@ def ladder_weight(pres: APresentation, lam, k: int) -> Fraction:
     return as_fraction(pres.d) * (as_fraction(lam) + k)
 
 
-def build_ladder(pres: APresentation, lam, window) -> GradedModule:
-    """Rank-one ladder on the window, edges straight from the relation data.
-
-    F edges are 1; the D edge out of step k carries c*b(k+lambda-1); the
-    theta action is semisimple (N = 0).
-    """
-    lam = as_fraction(lam)
+def _rank_one_ladder(pres: APresentation, lam, window, d_edge) -> GradedModule:
+    """Rank-one ladder skeleton: step k sits at weight d*(k+lambda) with
+    N = 0, F edges are 1, the D edge out of step k is d_edge(k), and an
+    edge leaving the window is a boundary."""
     ks = _window_range(window)
-    dims = {ladder_weight(pres, lam, k): 1 for k in ks}
-    T = GradedModule(pres, dims)
+    T = GradedModule(pres, {ladder_weight(pres, lam, k): 1 for k in ks})
     for k in ks:
         alpha = ladder_weight(pres, lam, k)
         T.N[alpha] = [[0]]
@@ -223,10 +213,20 @@ def build_ladder(pres: APresentation, lam, window) -> GradedModule:
         else:
             T.f_boundary.add(alpha)
         if k - 1 in ks:
-            T.D[alpha] = [[pres.edge_scalar(k + lam - 1)]]
+            T.D[alpha] = [[d_edge(k)]]
         else:
             T.d_boundary.add(alpha)
     return T
+
+
+def build_ladder(pres: APresentation, lam, window) -> GradedModule:
+    """Rank-one ladder on the window, edges straight from the relation data.
+
+    F edges are 1; the D edge out of step k carries c*b(k+lambda-1); the
+    theta action is semisimple (N = 0).
+    """
+    lam = as_fraction(lam)
+    return _rank_one_ladder(pres, lam, window, lambda k: pres.edge_scalar(k + lam - 1))
 
 
 def psi_of_ladder(inst: CaseInstance, lam, window,
@@ -237,7 +237,8 @@ def psi_of_ladder(inst: CaseInstance, lam, window,
     evaluated by applying the operators (twisted for fractional or
     negative exponents) and must land back in the span of the basis --
     otherwise NotProportional, which would contradict the
-    invariant-theory input that C[V]^(G') = C[f].
+    invariant-theory input that C[V]^(G') = C[f].  Multiplication by f
+    sends each basis vector to the next one on the nose (F = 1).
     """
     lam = as_fraction(lam)
     if pres is None:
@@ -247,27 +248,15 @@ def psi_of_ladder(inst: CaseInstance, lam, window,
     # theta profile: theta(f^s) = rho(s) f^s, computed once
     theta_profile = twisted_scalar_profile(
         twisted_apply(inst.theta, f_power_element(0, f), f), f, 0)
-    dims = {ladder_weight(pres, lam, k): 1 for k in ks}
-    T = GradedModule(pres, dims)
     for k in ks:
-        alpha = ladder_weight(pres, lam, k)
         # theta: weight must come out as d*(k+lambda), exactly, with N = 0
+        alpha = ladder_weight(pres, lam, k)
         weight = as_fraction(theta_profile.evaluate(lam + k))
         if weight != alpha:
             raise NotProportional(
                 f"theta acts on f^(s+{k}) with weight {weight}, expected {alpha}")
-        T.N[alpha] = [[0]]
-        # f: multiplication sends the basis vector to the next one on the nose
-        if k + 1 in ks:
-            T.F[alpha] = [[1]]
-        else:
-            T.f_boundary.add(alpha)
-        # Delta: computed by differentiation
-        if k - 1 in ks:
-            T.D[alpha] = [[delta_scalar(inst, lam + k)]]
-        else:
-            T.d_boundary.add(alpha)
-    return T
+    # Delta: computed by differentiation
+    return _rank_one_ladder(pres, lam, window, lambda k: delta_scalar(inst, lam + k))
 
 
 def break_points(pres: APresentation, lam, window) -> dict:
@@ -327,21 +316,22 @@ def equivalence_witness(inst: CaseInstance, lam, window,
         pres = presentation_for(inst)
     abstract = gauge_normalize(build_ladder(pres, lam, window))
     concrete = gauge_normalize(psi_of_ladder(inst, lam, window, pres=pres))
+    detail = _first_difference(abstract, concrete)
+    return WitnessReport(inst.case_id, inst.size, lam, tuple(window), detail is None,
+                         detail or "all gauged D edges agree")
+
+
+def _first_difference(abstract: GradedModule, concrete: GradedModule) -> Optional[str]:
     if abstract.weights != concrete.weights:
-        return WitnessReport(inst.case_id, inst.size, lam, tuple(window), False,
-                             "weight supports differ")
+        return "weight supports differ"
     for a in abstract.weights:
         ea = abstract.D.get(a)
         ec = concrete.D.get(a)
         if (ea is None) != (ec is None):
-            return WitnessReport(inst.case_id, inst.size, lam, tuple(window), False,
-                                 f"D edge presence differs at weight {a}")
-        if ea is not None and not mat_eq(ea, ec):
-            return WitnessReport(
-                inst.case_id, inst.size, lam, tuple(window), False,
-                f"D edge at weight {a}: ladder {ea[0][0]} vs computed {ec[0][0]}")
-    return WitnessReport(inst.case_id, inst.size, lam, tuple(window), True,
-                         "all gauged D edges agree")
+            return f"D edge presence differs at weight {a}"
+        if ea != ec:
+            return f"D edge at weight {a}: ladder {ea[0][0]} vs computed {ec[0][0]}"
+    return None
 
 
 def direct_sum(T1: GradedModule, T2: GradedModule) -> GradedModule:
@@ -386,9 +376,8 @@ def act_component(T: GradedModule, key: int, p: UniPoly, alpha):
     d = T.pres.d
     if alpha not in T.dims:
         return None
-    theta = mat_add(mat_scale(alpha, mat_identity(T.dim(alpha))), T.n_at(alpha))
     if key >= 0:
-        m = mat_poly(p, theta)
+        m = mat_poly(p, T.theta_at(alpha, alpha))
         cur = alpha
         for _ in range(key):
             if cur + d not in T.dims or cur in T.f_boundary:
@@ -404,8 +393,7 @@ def act_component(T: GradedModule, key: int, p: UniPoly, alpha):
             return None
         m = mat_mul(T.d_at(cur), m)
         cur = cur - d
-    theta_dst = mat_add(mat_scale(cur, mat_identity(T.dim(cur))), T.n_at(cur))
-    return cur, mat_mul(mat_poly(p, theta_dst), m)
+    return cur, mat_mul(mat_poly(p, T.theta_at(cur, cur)), m)
 
 
 def act(T: GradedModule, x: AElement, alpha) -> dict:

@@ -323,19 +323,6 @@ class MultiPoly(TermMap):
                 out[ne] = acc
         return MultiPoly(self.arity - 1, out)
 
-    def evaluate(self, point):
-        """Evaluate at a full point (sequence of rationals)."""
-        if len(point) != self.arity:
-            raise ValueError("point length != arity")
-        total = 0
-        for e, c in self.terms.items():
-            v = c
-            for x, k in zip(point, e):
-                if k:
-                    v = v * x ** k
-            total += v
-        return total
-
     def format(self) -> str:
         """Human-readable form in x1, x2, ..., graded-lex descending."""
         return _join_terms(

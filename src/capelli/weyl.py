@@ -186,18 +186,24 @@ def f_power_element(k: int, f: MultiPoly) -> TwistedElement:
     return TwistedElement(MultiPoly.one(f.arity + 1), -k)
 
 
-def twisted_canonical(e: TwistedElement, f: MultiPoly) -> TwistedElement:
-    """Minimal-level representative (divide f out of the numerator)."""
-    q, m = e.q, e.m
-    if q.is_zero():
-        return TwistedElement(MultiPoly.zero(f.arity + 1), 0)
-    fl = f.with_extra_symbol()
-    while m > 0:
+def _divide_out(q: MultiPoly, fl: MultiPoly, times: int):
+    """Divide fl out of q while it divides exactly, at most `times` times;
+    returns (quotient, number of divisions done)."""
+    done = 0
+    while done < times:
         r = q.divide_exact(fl)
         if r is None:
             break
-        q, m = r, m - 1
-    return TwistedElement(q, m)
+        q, done = r, done + 1
+    return q, done
+
+
+def twisted_canonical(e: TwistedElement, f: MultiPoly) -> TwistedElement:
+    """Minimal-level representative (divide f out of the numerator)."""
+    if e.q.is_zero():
+        return TwistedElement(MultiPoly.zero(f.arity + 1), 0)
+    q, done = _divide_out(e.q, f.with_extra_symbol(), e.m)
+    return TwistedElement(q, e.m - done)
 
 
 def twisted_add(a: TwistedElement, b: TwistedElement, f: MultiPoly) -> TwistedElement:
@@ -208,13 +214,6 @@ def twisted_add(a: TwistedElement, b: TwistedElement, f: MultiPoly) -> TwistedEl
     if a.m < b.m:
         return TwistedElement(a.q * fl ** (b.m - a.m) + b.q, b.m)
     return TwistedElement(a.q + b.q * fl ** (a.m - b.m), a.m)
-
-
-def _twisted_partial(q: MultiPoly, m: int, i: int, fl: MultiPoly, dfl: MultiPoly,
-                     s_poly: MultiPoly):
-    """One application of d_i to q * f^(s-m)."""
-    nq = q.partial(i) * fl + (s_poly - m) * q * dfl
-    return nq, m + 1
 
 
 def twisted_apply(a: WeylOp, e: TwistedElement, f: MultiPoly) -> TwistedElement:
@@ -234,7 +233,8 @@ def twisted_apply(a: WeylOp, e: TwistedElement, f: MultiPoly) -> TwistedElement:
             for _ in range(beta[i]):
                 if i not in dfl:
                     dfl[i] = f.partial(i).with_extra_symbol()
-                q, m = _twisted_partial(q, m, i, fl, dfl[i], s_poly)
+                # d_i(q f^(s-m)) = (d_i q f + (s-m) q d_i f) f^(s-m-1)
+                q, m = q.partial(i) * fl + (s_poly - m) * q * dfl[i], m + 1
                 # keep levels minimal as we go: numerators stay small
                 reduced = twisted_canonical(TwistedElement(q, m), f)
                 q, m = reduced.q, reduced.m
@@ -263,14 +263,9 @@ def twisted_scalar_profile(e: TwistedElement, f: MultiPoly, offset: int) -> UniP
     if j < 0:
         raise NotProportional(
             f"element has level {e.m} but target exponent offset {offset}")
-    q = e.q
-    if j:
-        fl = f.with_extra_symbol()
-        for _ in range(j):
-            r = q.divide_exact(fl)
-            if r is None:
-                raise NotProportional("numerator is not divisible by the required power of f")
-            q = r
+    q, done = _divide_out(e.q, f.with_extra_symbol(), j)
+    if done < j:
+        raise NotProportional("numerator is not divisible by the required power of f")
     coeffs = {}
     for exps, c in q.terms.items():
         if any(exps[i] for i in range(n)):

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from capelli.catalog import (CASES, case_spec, catalog_json, instantiate, list_cases)
+from capelli.catalog import (CASES, DEFAULT_VERIFY_SIZES, case_spec, catalog_json, instantiate,
+                             list_cases)
 from capelli.poly import MultiPoly, UniPoly
 from capelli.weyl import weyl_apply
 
@@ -95,8 +96,7 @@ class TestInstantiate:
         with pytest.raises(ValueError):
             instantiate(case_id, size)
 
-    @pytest.mark.parametrize("case_id,size",
-                             [(1, 2), (2, 2), (3, 4), (4, 2), (5, 2), (6, 8), (7, 7), (8, 4)])
+    @pytest.mark.parametrize("case_id,size", DEFAULT_VERIFY_SIZES)
     def test_euler_degree(self, case_id, size):
         inst = instantiate(case_id, size)
         assert weyl_apply(inst.theta, inst.f) == inst.d * inst.f

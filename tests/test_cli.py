@@ -163,3 +163,21 @@ class TestExitCodes:
 
     def test_unknown_flag(self, capsys):
         assert run_cli(["catalog", "list", "--frobnicate"]) == 2
+
+    # results whose numerals pass the interpreter's 4,300-digit int-string
+    # limit: the library raises ValueError while printing them
+    BIG = "1" + "0" * 4000
+
+    @pytest.mark.parametrize("args", [
+        ["algebra", "nf", "--case", "4", "--size", "2", "10^5000"],
+        ["module", "ladder", "--case", "8", "--size", "4", "--lambda", BIG, "--window", "0:1"],
+        ["module", "ladder", "--case", "8", "--size", "4", "--lambda", BIG, "--window", "0:1",
+         "--json"],
+        ["module", "psi", "--case", "4", "--size", "2", "--lambda", BIG + "/3",
+         "--window", "0:1"],
+    ], ids=["nf", "ladder", "ladder-json", "psi"])
+    def test_result_too_long_to_print_is_usage_error(self, args, capsys):
+        assert run_cli(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err

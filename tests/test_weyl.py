@@ -159,6 +159,15 @@ class TestTwisted:
         with pytest.raises(NotProportional):
             twisted_scalar_profile(e, inst.f, 0)
 
+    def test_scalar_profile_rejects_division_shortfall(self):
+        inst = instantiate(1, 2)
+        fl = inst.f.with_extra_symbol()
+        # f * f^s is f^(s+1): offset 1 divides once and gives 1
+        assert twisted_scalar_profile(TwistedElement(fl, 0), inst.f, 1) == UniPoly("s", (1,))
+        # offset 2 needs f^2 in the numerator; the second division fails
+        with pytest.raises(NotProportional, match="not divisible"):
+            twisted_scalar_profile(TwistedElement(fl, 0), inst.f, 2)
+
 
 class TestSharedTermMap:
     def test_never_equal_to_a_polynomial(self):
