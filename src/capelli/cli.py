@@ -146,21 +146,22 @@ def cmd_algebra_fuzz(args) -> int:
 # -- module ------------------------------------------------------------------
 
 
-def _print_ladder(T, violations) -> None:
+def _ladder_text(T, violations) -> str:
+    """The text report of a ladder, built whole so a failure prints nothing."""
     d = T.pres.d
-    print(f"weights (d = {d}): " + ", ".join(str(a) for a in T.weights))
+    lines = [f"weights (d = {d}): " + ", ".join(str(a) for a in T.weights)]
     for a in T.weights:
         f_edge = T.F.get(a)
         d_edge = T.D.get(a)
         fs = f"F -> {f_edge[0][0]}" if f_edge else "F exits window"
         ds = f"D -> {d_edge[0][0]}" if d_edge else "D exits window"
-        print(f"  weight {a}: dim {T.dims[a]}, {fs}, {ds}")
+        lines.append(f"  weight {a}: dim {T.dims[a]}, {fs}, {ds}")
     if violations:
-        print(f"validate: {len(violations)} violations")
-        for v in violations:
-            print(f"  at weight {v.weight}: {v.kind}: {v.detail}")
+        lines.append(f"validate: {len(violations)} violations")
+        lines.extend(f"  at weight {v.weight}: {v.kind}: {v.detail}" for v in violations)
     else:
-        print("validate: ok")
+        lines.append("validate: ok")
+    return "\n".join(lines)
 
 
 def cmd_module_ladder(args) -> int:
@@ -171,7 +172,7 @@ def cmd_module_ladder(args) -> int:
     if args.json:
         _emit_json(T.to_json_dict())
     else:
-        _print_ladder(T, violations)
+        print(_ladder_text(T, violations))
     return 1 if violations else 0
 
 
@@ -186,8 +187,9 @@ def cmd_module_psi(args) -> int:
         doc["witness"] = {"passed": witness.passed, "detail": witness.detail}
         _emit_json(doc)
     else:
-        _print_ladder(T, violations)
-        print(f"equivalence witness: {'pass' if witness.passed else 'FAIL'} ({witness.detail})")
+        verdict = "pass" if witness.passed else "FAIL"
+        print(_ladder_text(T, violations)
+              + f"\nequivalence witness: {verdict} ({witness.detail})")
     return 0 if witness.passed and not violations else 1
 
 

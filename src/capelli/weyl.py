@@ -12,6 +12,18 @@ the numerator ring.  Applying d_i uses
     d_i(q f^(s-m)) = (d_i q) f^(s-m) + (s-m) q (d_i f) f^(s-m-1),
 and results are canonicalized by dividing f out of the numerator while it
 divides exactly.  This is the computation behind  Delta(f^(s+1)) = b(s) f^s.
+
+twisted_apply differentiates sums, not monomials.  An operator
+sum over alpha of x^alpha P_alpha(d) applies each P recursively:
+    P e = c0 e + sum over v of d_v(P_v e),
+where P_v collects the monomials of P whose highest variable is v, each
+with one d_v taken off.  A determinant det(d) thus splits into its
+cofactors along the last row, and equal minors met on different paths are
+computed once (n 2^(n-1) partials instead of n n!).  Each d_v acts on a
+summed and canonicalized numerator, and the sums cancel: for det_4 on
+f^(s+1) the largest numerator to canonicalize has 240 terms, against
+9,240 when each monomial is differentiated on its own.  weyl_apply stays
+plain monomial-by-monomial differentiation, the independent oracle.
 """
 
 from __future__ import annotations
@@ -20,7 +32,7 @@ from dataclasses import dataclass
 from itertools import product as _iproduct
 from math import comb
 
-from .poly import MultiPoly, TermMap, UniPoly
+from .poly import MultiPoly, TermMap, UniPoly, ratio
 
 
 class NotProportional(Exception):
@@ -210,14 +222,20 @@ def twisted_add(a: TwistedElement, b: TwistedElement, f: MultiPoly) -> TwistedEl
     """Sum at the common (max) level; not canonicalized."""
     if a.m == b.m:
         return TwistedElement(a.q + b.q, a.m)
-    fl = f.with_extra_symbol()
-    if a.m < b.m:
-        return TwistedElement(a.q * fl ** (b.m - a.m) + b.q, b.m)
-    return TwistedElement(a.q + b.q * fl ** (a.m - b.m), a.m)
+    if a.m > b.m:
+        a, b = b, a
+    if a.q.is_zero():
+        return b                # already at the max level; no power of f needed
+    return TwistedElement(a.q * f.with_extra_symbol() ** (b.m - a.m) + b.q, b.m)
 
 
 def twisted_apply(a: WeylOp, e: TwistedElement, f: MultiPoly) -> TwistedElement:
-    """Apply a differential operator to a twisted element, canonically."""
+    """Apply a differential operator to a twisted element, canonically.
+
+    Each P_alpha(d) is applied by the recursion of the module docstring.
+    A memo local to the call, keyed on P divided by its leading
+    coefficient, computes each P e once; P and -P share an entry.
+    """
     n = a.arity
     if f.arity != n or e.q.arity != n + 1:
         raise ValueError("arity mismatch between operator, context f, and element")
@@ -225,21 +243,48 @@ def twisted_apply(a: WeylOp, e: TwistedElement, f: MultiPoly) -> TwistedElement:
         raise ValueError("context polynomial f must be nonzero")
     fl = f.with_extra_symbol()
     s_poly = MultiPoly.variable(n + 1, n)
+    unit = (0,) * n
     dfl = {}
+    memo = {}
+
+    def partial(i, t):
+        if i not in dfl:
+            dfl[i] = f.partial(i).with_extra_symbol()
+        # d_i(q f^(s-m)) = (d_i q f + (s-m) q d_i f) f^(s-m-1)
+        q = t.q.partial(i) * fl + (s_poly - t.m) * t.q * dfl[i]
+        return twisted_canonical(TwistedElement(q, t.m + 1), f)
+
+    def apply_poly(p):
+        """P e for P(d) given as a nonempty map beta -> coefficient."""
+        lc = p[max(p)]
+        p = {beta: ratio(c, lc) for beta, c in p.items()}
+        key = frozenset(p.items())
+        if key not in memo:
+            parts = [TwistedElement(e.q * p[unit], e.m)] if unit in p else []
+            by_top = {}
+            for beta, c in p.items():
+                if beta != unit:
+                    v = max(i for i in range(n) if beta[i])
+                    rest = beta[:v] + (beta[v] - 1,) + beta[v + 1:]
+                    by_top.setdefault(v, {})[rest] = c
+            parts += [partial(v, apply_poly(by_top[v])) for v in sorted(by_top)]
+            acc = parts[0]
+            for t in parts[1:]:
+                acc = twisted_add(acc, t, f)
+            # a lone part is canonical already, or c0 e, which the caller's
+            # d_v or the final pass canonicalizes
+            memo[key] = twisted_canonical(acc, f) if len(parts) > 1 else acc
+        r = memo[key]
+        return r if lc == 1 else TwistedElement(r.q * lc, r.m)
+
+    by_alpha = {}
+    for (alpha, beta), c in a.terms.items():
+        by_alpha.setdefault(alpha, {})[beta] = c
     acc = TwistedElement(MultiPoly.zero(n + 1), 0)
-    for (alpha, beta), c in sorted(a.terms.items()):
-        q, m = e.q, e.m
-        for i in range(n):
-            for _ in range(beta[i]):
-                if i not in dfl:
-                    dfl[i] = f.partial(i).with_extra_symbol()
-                # d_i(q f^(s-m)) = (d_i q f + (s-m) q d_i f) f^(s-m-1)
-                q, m = q.partial(i) * fl + (s_poly - m) * q * dfl[i], m + 1
-                # keep levels minimal as we go: numerators stay small
-                reduced = twisted_canonical(TwistedElement(q, m), f)
-                q, m = reduced.q, reduced.m
-        q = q * MultiPoly.monomial(n + 1, alpha + (0,), c)
-        acc = twisted_add(acc, TwistedElement(q, m), f)
+    for alpha in sorted(by_alpha):
+        r = apply_poly(by_alpha[alpha])
+        q = r.q * MultiPoly.monomial(n + 1, alpha + (0,))
+        acc = twisted_add(acc, TwistedElement(q, r.m), f)
     return twisted_canonical(acc, f)
 
 

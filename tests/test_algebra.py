@@ -191,7 +191,7 @@ class TestConfluence:
             lambda parts: AElement(pres, {k: p for k, cs in parts.items()
                                           if not (p := UniPoly(THETA, cs)).is_zero()}))
 
-        @hypothesis.settings(max_examples=60, deadline=None, database=None, derandomize=True)
+        @hypothesis.settings(max_examples=60)
         @hypothesis.given(elements, elements, elements)
         def associative(x, y, z):
             assert a_mul(a_mul(x, y), z) == a_mul(x, a_mul(y, z))

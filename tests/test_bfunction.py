@@ -7,7 +7,7 @@ import pytest
 from capelli import bfunction
 from capelli.bfunction import (VERDICT_DISPUTED, VERDICT_MATCH, compute_b, factored,
                                presentation_for, verify_annihilation)
-from capelli.catalog import instantiate
+from capelli.catalog import DEFAULT_VERIFY_SIZES, instantiate
 from capelli.poly import UniPoly, rational_roots
 from capelli.weyl import weyl_apply
 
@@ -40,7 +40,7 @@ class TestComputeB:
         b, _ = compute_b(instantiate(case_id, size))
         assert b == UniPoly.from_offsets("s", [1, Fraction(dim, 2)])
 
-    @pytest.mark.parametrize("case_id,size", [(1, 2), (2, 2), (3, 4), (4, 2), (5, 2)])
+    @pytest.mark.parametrize("case_id,size", DEFAULT_VERIFY_SIZES)
     def test_cross_oracle_specialization(self, case_id, size):
         # substitute s = m: c*b(m) must equal Delta(f^(m+1)) / f^m computed
         # independently by plain differentiation

@@ -37,6 +37,13 @@ class TestBs:
         assert "(s+1)(s+2)" in out
         assert "verdict = match" in out
 
+    def test_compute_determinant_n5(self, capsys):
+        # 120 Delta monomials on a 120-term f: certifies through shared derivatives
+        assert run_cli(["bs", "compute", "--case", "4", "--size", "5"]) == 0
+        out = capsys.readouterr().out
+        assert "(s+1)(s+2)(s+3)(s+4)(s+5)" in out
+        assert "verdict = match" in out
+
     def test_compute_json(self, capsys):
         assert run_cli(["bs", "compute", "--case", "2", "--size", "2", "--json"]) == 0
         out = capsys.readouterr().out
@@ -178,6 +185,7 @@ class TestExitCodes:
     ], ids=["nf", "ladder", "ladder-json", "psi"])
     def test_result_too_long_to_print_is_usage_error(self, args, capsys):
         assert run_cli(args) == 2
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == ""                # the text is built whole before printing
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err

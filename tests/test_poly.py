@@ -92,6 +92,20 @@ class TestDivideExact:
                 continue
             assert (p * q).divide_exact(q) == p
 
+    def test_roundtrip_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        coefs = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)).filter(bool)
+        exps = st.tuples(*[st.integers(0, 3)] * 3)
+        polys = st.dictionaries(exps, coefs, max_size=6).map(lambda t: MultiPoly(3, t))
+
+        @hypothesis.settings(max_examples=200)
+        @hypothesis.given(polys, polys.filter(lambda b: not b.is_zero()))
+        def roundtrip(a, b):
+            assert (a * b).divide_exact(b) == a
+
+        roundtrip()
+
 
 class TestUniPoly:
     def test_shift_binomial(self):

@@ -1,11 +1,12 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from capelli.catalog import instantiate
 from capelli.poly import MultiPoly, UniPoly
 from capelli.weyl import (NotProportional, TwistedElement, WeylOp, commutator,
-                          f_power_element, twisted_apply, twisted_canonical,
+                          f_power_element, twisted_add, twisted_apply, twisted_canonical,
                           twisted_scalar_profile, twisted_specialize, weyl_apply,
                           weyl_mul)
 
@@ -146,6 +147,18 @@ class TestTwisted:
         with pytest.raises(ValueError):
             twisted_specialize(e, 1, inst.f)
 
+    def test_add_to_zero_needs_no_power_of_f(self, monkeypatch):
+        inst = instantiate(1, 2)
+        x = TwistedElement(MultiPoly.variable(3, 0), 3)
+        zero = TwistedElement(MultiPoly.zero(3), 0)
+
+        def refuse(self, k):
+            raise AssertionError("a power of f was computed")
+
+        monkeypatch.setattr(MultiPoly, "__pow__", refuse)
+        assert twisted_add(zero, x, inst.f) == x
+        assert twisted_add(x, zero, inst.f) == x
+
     def test_scalar_profile(self):
         inst = instantiate(4, 2)
         image = twisted_apply(inst.delta, f_power_element(1, inst.f), inst.f)
@@ -167,6 +180,59 @@ class TestTwisted:
         # offset 2 needs f^2 in the numerator; the second division fails
         with pytest.raises(NotProportional, match="not divisible"):
             twisted_scalar_profile(TwistedElement(fl, 0), inst.f, 2)
+
+
+def assert_specializes(op, inst, k, extra=0):
+    """twisted_apply at s = j against weyl_apply, which shares none of its code."""
+    image = twisted_apply(op, f_power_element(k, inst.f), inst.f)
+    j = max(image.m, -k) + extra
+    assert twisted_specialize(image, j, inst.f) == weyl_apply(op, inst.f ** (j + k))
+
+
+class TestTwistedAgainstPlain:
+    @pytest.mark.parametrize("k", [-1, 0, 2])
+    def test_same_support_other_coefficients(self, k):
+        # x1 (d1 + d2) + x2 (d1 - d2) + x1 x2 (2 d1 + d2) + 3 d1 d2: three
+        # P's on one support, told apart only by their coefficient ratios
+        inst = instantiate(1, 2)
+        z, e1, e2, e12 = (0, 0), (1, 0), (0, 1), (1, 1)
+        op = WeylOp(2, {(e1, e1): 1, (e1, e2): 1, (e2, e1): 1, (e2, e2): -1,
+                        (e12, e1): 2, (e12, e2): 1, (z, e12): 3})
+        assert_specializes(op, inst, k)
+
+    @pytest.mark.parametrize("k", [-1, 0, 2])
+    def test_opposite_operators_share_an_entry(self, k):
+        # x1 d1 d2 - x2 d1 d2 - 1/2 d1 d2: one entry scaled by 1, -1 and -1/2
+        inst = instantiate(4, 2)
+        z, d = (0, 0, 0, 0), (1, 0, 0, 1)
+        op = WeylOp(4, {((1, 0, 0, 0), d): 1, ((0, 1, 0, 0), d): -1,
+                        (z, d): Fraction(-1, 2)})
+        assert_specializes(op, inst, k)
+
+    @pytest.mark.parametrize("case_id,size", [(4, 2), (2, 2), (1, 3), (4, 3)])
+    def test_specializes_to_plain_application(self, case_id, size):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        inst = instantiate(case_id, size)
+        n = inst.f.arity
+
+        def exponents(indices):
+            e = [0] * n
+            for i in indices:
+                e[i] += 1
+            return tuple(e)
+
+        parts = st.lists(st.integers(0, n - 1), max_size=3).map(exponents)
+        ops = st.dictionaries(st.tuples(parts, parts),
+                              st.integers(-3, 3).filter(bool), max_size=4).map(
+            lambda terms: WeylOp(n, terms))
+
+        @hypothesis.settings(max_examples=100)
+        @hypothesis.given(ops, st.integers(-2, 2), st.integers(0, 1))
+        def agrees(op, k, extra):
+            assert_specializes(op, inst, k, extra)
+
+        agrees()
 
 
 class TestSharedTermMap:
