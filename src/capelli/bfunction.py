@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from .algebra import APresentation
 from .catalog import CaseInstance, case_spec, instantiate
 from .poly import MultiPoly, UniPoly, as_fraction, format_rational, rational_roots
 from .weyl import (NotProportional, f_power_element, twisted_apply,
@@ -197,8 +198,6 @@ def verify_annihilation(inst: CaseInstance, m_max: int = 6) -> AnnihilationRepor
 
 def presentation_for(inst: CaseInstance):
     """Quotient-algebra presentation built from the oracle-computed b data."""
-    from .algebra import APresentation
-
     b, c = compute_b(inst)
     return APresentation.from_b(inst.d, c, b)
 

@@ -31,7 +31,6 @@ class CaseSpec:
     fixed_size: Optional[int]        # None for parametric cases
     min_size: int
     even_only: bool
-    size_rule: str
     deg_f_rule: str
     deg_f: Callable[[int], int]
     b_rule: str                      # as printed in the table
@@ -44,6 +43,12 @@ class CaseSpec:
     @property
     def disputed(self) -> bool:
         return self.corrected_b_offsets is not None
+
+    @property
+    def size_rule(self) -> str:
+        if self.fixed_size is not None:
+            return f"fixed, {self.fixed_size}"
+        return ("n even, " if self.even_only else "") + f"n >= {self.min_size}"
 
     def valid_size(self, n: int) -> bool:
         if self.fixed_size is not None:
@@ -91,14 +96,6 @@ class CaseInstance:
     # owned by bfunction; never shared by a copy, ignored by equality
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    @property
-    def spec(self) -> CaseSpec:
-        return case_spec(self.case_id)
-
-    @property
-    def arity(self) -> int:
-        return len(self.variables)
-
 
 # -- polynomial constructions ------------------------------------------
 
@@ -108,14 +105,9 @@ def _det(entry, n: int, arity: int) -> MultiPoly:
     entry(i,j) -> (variable index, scalar factor)."""
     terms = {}
     for sigma in permutations(range(n)):
-        sign = 1
-        seen = list(sigma)
-        # parity via inversion count (n <= 4 in practice)
-        inv = sum(1 for i in range(n) for j in range(i + 1, n) if seen[i] > seen[j])
-        if inv % 2:
-            sign = -1
+        inv = sum(1 for i in range(n) for j in range(i + 1, n) if sigma[i] > sigma[j])
         exps = [0] * arity
-        coef = sign
+        coef = -1 if inv % 2 else 1
         for i in range(n):
             idx, factor = entry(i, sigma[i])
             exps[idx] += 1
@@ -195,38 +187,34 @@ def _pairing(n: int):
     return names, f, f
 
 
-def _half(i: int) -> Fraction:
-    return Fraction(i, 2)
-
-
 CASES = [
     CaseSpec(
         case_id=1,
         name="(SO(n) x C*, C^n)",
         build=_quadric,
-        fixed_size=None, min_size=2, even_only=False, size_rule="n >= 2",
+        fixed_size=None, min_size=2, even_only=False,
         deg_f_rule="2",
         deg_f=lambda n: 2,
         b_rule="(s+1)(s+n/2)",
-        printed_b_offsets=lambda n: [Fraction(1), _half(n)],
+        printed_b_offsets=lambda n: [Fraction(1), Fraction(n, 2)],
         isotropy_g="SO(1) x SO(n-1)", isotropy_derived="SO(1) x SO(n-1)",
     ),
     CaseSpec(
         case_id=2,
         name="(GL(n), Sym^2 C^n)",
         build=_symmetric,
-        fixed_size=None, min_size=2, even_only=False, size_rule="n >= 2",
+        fixed_size=None, min_size=2, even_only=False,
         deg_f_rule="n",
         deg_f=lambda n: n,
         b_rule="prod_{i=1..n} (s+(i+1)/2)",
-        printed_b_offsets=lambda n: [_half(i + 1) for i in range(1, n + 1)],
+        printed_b_offsets=lambda n: [Fraction(i + 1, 2) for i in range(1, n + 1)],
         isotropy_g="O(n)", isotropy_derived="SO(n)",
     ),
     CaseSpec(
         case_id=3,
         name="(GL(n), Alt^2 C^n), n even",
         build=_alternating,
-        fixed_size=None, min_size=4, even_only=True, size_rule="n even, n >= 4",
+        fixed_size=None, min_size=4, even_only=True,
         deg_f_rule="n/2",
         deg_f=lambda n: n // 2,
         b_rule="prod_{i=1..n} (s+2i-1)",
@@ -239,7 +227,7 @@ CASES = [
         case_id=4,
         name="(GL(n) x SL(n), M_n(C))",
         build=_matrix,
-        fixed_size=None, min_size=2, even_only=False, size_rule="n >= 2",
+        fixed_size=None, min_size=2, even_only=False,
         deg_f_rule="n",
         deg_f=lambda n: n,
         b_rule="prod_{i=1..n} (s+i)",
@@ -250,7 +238,7 @@ CASES = [
         case_id=5,
         name="(Sp(n) x GL(2), (C^2n)^2)",
         build=_pairing,
-        fixed_size=None, min_size=2, even_only=False, size_rule="n >= 2",
+        fixed_size=None, min_size=2, even_only=False,
         deg_f_rule="2",
         deg_f=lambda n: 2,
         b_rule="(s+1)(s+2n)",
@@ -261,7 +249,7 @@ CASES = [
         case_id=6,
         name="(SO(7) x C*, spin C^8)",
         build=_quadric,
-        fixed_size=8, min_size=8, even_only=False, size_rule="fixed, 8",
+        fixed_size=8, min_size=8, even_only=False,
         deg_f_rule="2",
         deg_f=lambda n: 2,
         b_rule="(s+2)(s+4)",
@@ -274,7 +262,7 @@ CASES = [
         case_id=7,
         name="(G_2 x C*, C^7)",
         build=_quadric,
-        fixed_size=7, min_size=7, even_only=False, size_rule="fixed, 7",
+        fixed_size=7, min_size=7, even_only=False,
         deg_f_rule="2",
         deg_f=lambda n: 2,
         b_rule="(s+1)(s+7/2)",
@@ -285,7 +273,7 @@ CASES = [
         case_id=8,
         name="(GL(4) x Sp(2), M_4(C))",
         build=_matrix,
-        fixed_size=4, min_size=4, even_only=False, size_rule="fixed, 4",
+        fixed_size=4, min_size=4, even_only=False,
         deg_f_rule="4",
         deg_f=lambda n: 4,
         b_rule="(s+1)(s+2)(s+3)(s+4)",

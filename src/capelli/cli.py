@@ -2,8 +2,10 @@
 
 Exit codes: 0 success (including soft disputed-row mismatches), 1 hard
 mismatch / failed verification / non-proportional twisted result, 2
-usage errors (bad flags, bad sizes, bad expressions, and any ValueError a
-command raises, such as a result past the interpreter's int-string limit).
+input errors.  argparse rejects bad flags itself; every other input error
+is a ValueError (a bad case or size, window, rational, expression or trial
+count, or a result past the interpreter's int-string limit), which main
+prints as one ``error:`` line before exiting 2.
 """
 
 from __future__ import annotations
@@ -17,12 +19,8 @@ from . import bfunction, catalog, modules
 from .algebra import confluence_fuzz
 from .bfunction import VERDICT_DISPUTED, VERDICT_MATCH, factored, presentation_for
 from .expr import ExprError, element_to_expr, eval_expr, fmt_expr, parse_expr
-from .poly import format_rational, parse_rational
+from .poly import format_rational
 from .weyl import NotProportional
-
-
-class UsageError(Exception):
-    pass
 
 
 def _parse_window(text: str):
@@ -30,24 +28,17 @@ def _parse_window(text: str):
         a, b = text.split(":")
         lo, hi = int(a), int(b)
     except ValueError:
-        raise UsageError(f"bad window {text!r}: expected a:b with integers")
+        raise ValueError(f"bad window {text!r}: expected a:b with integers")
     if lo > hi:
-        raise UsageError(f"bad window {text!r}: lower end exceeds upper end")
+        raise ValueError(f"bad window {text!r}: lower end exceeds upper end")
     return (lo, hi)
 
 
 def _parse_lambda(text: str) -> Fraction:
     try:
-        return parse_rational(text)
+        return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise UsageError(f"bad rational {text!r}: expected p/q or integer")
-
-
-def _instance(args):
-    try:
-        return catalog.instantiate(args.case, args.size)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+        raise ValueError(f"bad rational {text!r}: expected p/q or integer")
 
 
 def _emit_json(obj):
@@ -81,7 +72,7 @@ def _certificate_line(cert) -> str:
 
 
 def cmd_bs_compute(args) -> int:
-    inst = _instance(args)
+    inst = catalog.instantiate(args.case, args.size)
     cert = bfunction.verify_table(args.case, args.size)
     if args.json:
         _emit_json(cert.to_json_dict())
@@ -97,18 +88,15 @@ def cmd_bs_compute(args) -> int:
 def cmd_bs_verify_all(args) -> int:
     pairs = catalog.MIN_VERIFY_SIZES if args.sizes == "min" else catalog.DEFAULT_VERIFY_SIZES
     certs = bfunction.verify_all(pairs)
+    hard = sum(1 for c in certs if c.verdict not in (VERDICT_MATCH, VERDICT_DISPUTED))
     if args.json:
         _emit_json([c.to_json_dict() for c in certs])
-    hard = 0
-    for cert in certs:
-        if not args.json:
+    else:
+        for cert in certs:
             print(_certificate_line(cert))
-        if cert.verdict == VERDICT_DISPUTED and not args.json:
-            print(f"  warning: case ({cert.case_id}) table row is disputed; "
-                  f"computed and printed b differ as shown")
-        if cert.verdict not in (VERDICT_MATCH, VERDICT_DISPUTED):
-            hard += 1
-    if not args.json:
+            if cert.verdict == VERDICT_DISPUTED:
+                print(f"  warning: case ({cert.case_id}) table row is disputed; "
+                      f"computed and printed b differ as shown")
         soft = sum(1 for c in certs if c.verdict == VERDICT_DISPUTED)
         print(f"{len(certs)} rows verified: {len(certs) - hard - soft} match, "
               f"{soft} disputed, {hard} hard mismatches")
@@ -119,12 +107,12 @@ def cmd_bs_verify_all(args) -> int:
 
 
 def cmd_algebra_nf(args) -> int:
-    inst = _instance(args)
+    inst = catalog.instantiate(args.case, args.size)
     pres = presentation_for(inst)
     try:
         tree = parse_expr(args.expr)
     except ExprError as exc:
-        raise UsageError(f"bad expression: {exc}")
+        raise ValueError(f"bad expression: {exc}")
     element = eval_expr(tree, pres)
     print(fmt_expr(element_to_expr(element)))
     return 0
@@ -132,8 +120,8 @@ def cmd_algebra_nf(args) -> int:
 
 def cmd_algebra_fuzz(args) -> int:
     if args.trials < 1:
-        raise UsageError(f"bad trial count {args.trials}: expected at least 1")
-    inst = _instance(args)
+        raise ValueError(f"bad trial count {args.trials}: expected at least 1")
+    inst = catalog.instantiate(args.case, args.size)
     pres = presentation_for(inst)
     report = confluence_fuzz(pres, args.trials, args.seed)
     print(f"case ({args.case}) n={args.size}: {report.trials} random words, "
@@ -165,7 +153,7 @@ def _ladder_text(T, violations) -> str:
 
 
 def cmd_module_ladder(args) -> int:
-    inst = _instance(args)
+    inst = catalog.instantiate(args.case, args.size)
     pres = presentation_for(inst)
     T = modules.build_ladder(pres, args.lam, args.window)
     violations = modules.validate(T)
@@ -177,7 +165,7 @@ def cmd_module_ladder(args) -> int:
 
 
 def cmd_module_psi(args) -> int:
-    inst = _instance(args)
+    inst = catalog.instantiate(args.case, args.size)
     pres = presentation_for(inst)
     T = modules.psi_of_ladder(inst, args.lam, args.window, pres=pres)
     violations = modules.validate(T)
@@ -194,12 +182,9 @@ def cmd_module_psi(args) -> int:
 
 
 def cmd_module_breaks(args) -> int:
-    inst = _instance(args)
+    inst = catalog.instantiate(args.case, args.size)
     pres = presentation_for(inst)
     breaks = modules.break_points(pres, args.lam, args.window)
-    if not breaks:
-        print("{}")
-        return 0
     inner = ", ".join(
         f"{k}" + (f" (multiplicity {m})" if m > 1 else "")
         for k, m in sorted(breaks.items()))
@@ -296,18 +281,12 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = parser.parse_args(_merge_value_flags(list(argv)))
-    if hasattr(args, "lam"):
-        try:
+    try:
+        if hasattr(args, "lam"):
             args.lam = _parse_lambda(args.lam)
             args.window = _parse_window(args.window)
-        except UsageError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    try:
         return args.func(args)
-    except (UsageError, ValueError) as exc:
-        # a library ValueError is an input the command cannot serve, such as
-        # a result too long to print
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NotProportional as exc:

@@ -68,18 +68,16 @@ def _tokenize(text: str):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
+            # isdecimal is exactly what int() accepts: superscripts such as
+            # '²' pass isdigit but are not numerals
             start = i
-            while i < n and text[i].isdigit():
+            while i < n and text[i].isdecimal():
                 i += 1
-            if i < n and text[i] == "/":
-                j = i + 1
-                if j < n and text[j].isdigit():
-                    i = j
-                    while i < n and text[i].isdigit():
-                        i += 1
-                    tokens.append(("NUM", text[start:i], start))
-                    continue
+            if i + 1 < n and text[i] == "/" and text[i + 1].isdecimal():
+                i += 1
+                while i < n and text[i].isdecimal():
+                    i += 1
             tokens.append(("NUM", text[start:i], start))
             continue
         if ch.isalpha():
@@ -208,8 +206,7 @@ def _fmt(node, parent_level: int) -> str:
     if isinstance(node, Sym):
         return node.name
     if isinstance(node, RatLit):
-        v = node.value
-        return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+        return str(node.value)
     if isinstance(node, Pow):
         # the grammar only allows atoms as bases
         if isinstance(node.base, (Sym, RatLit)):

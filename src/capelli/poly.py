@@ -36,11 +36,6 @@ def format_rational(c) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or plain integer text into a Fraction."""
-    return Fraction(text.strip())
-
-
 def _grlex(exps):
     return (sum(exps), exps)
 
@@ -361,17 +356,12 @@ class UniPoly:
         return cls(symbol, (0, 1))
 
     @classmethod
-    def from_roots(cls, symbol, roots):
-        """Monic polynomial with the given roots: prod (t - r)."""
-        p = cls.constant(symbol, 1)
-        for r in roots:
-            p = p * cls(symbol, (-r, 1))
-        return p
-
-    @classmethod
     def from_offsets(cls, symbol, offsets):
         """Monic polynomial prod (t + o) -- roots are the negated offsets."""
-        return cls.from_roots(symbol, [-o for o in offsets])
+        p = cls.constant(symbol, 1)
+        for o in offsets:
+            p = p * cls(symbol, (o, 1))
+        return p
 
     # -- queries -------------------------------------------------------
 
@@ -421,8 +411,6 @@ class UniPoly:
         return UniPoly(self.symbol, tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
-        if not isinstance(other, UniPoly):
-            other = UniPoly.constant(self.symbol, other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -455,6 +443,8 @@ class UniPoly:
 
     def shift(self, sigma):
         """Return t |-> p(t + sigma), exactly (Horner in t + sigma)."""
+        if sigma == 0:
+            return self         # immutable, so the identity shift shares it
         out = UniPoly.zero(self.symbol)
         lin = UniPoly(self.symbol, (sigma, 1))
         for c in reversed(self.coeffs):

@@ -311,14 +311,9 @@ def twisted_scalar_profile(e: TwistedElement, f: MultiPoly, offset: int) -> UniP
     q, done = _divide_out(e.q, f.with_extra_symbol(), j)
     if done < j:
         raise NotProportional("numerator is not divisible by the required power of f")
-    coeffs = {}
+    out = [0] * (max(exps[n] for exps in q.terms) + 1)
     for exps, c in q.terms.items():
         if any(exps[i] for i in range(n)):
             raise NotProportional("residual dependence on the case variables")
-        coeffs[exps[n]] = c
-    if not coeffs:
-        return UniPoly.zero("s")
-    out = [0] * (max(coeffs) + 1)
-    for k, c in coeffs.items():
-        out[k] = c
+        out[exps[n]] = c
     return UniPoly("s", out)

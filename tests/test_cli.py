@@ -86,6 +86,16 @@ class TestAlgebra:
     def test_nf_bad_expression_is_usage_error(self, capsys):
         assert run_cli(["algebra", "nf", "--case", "4", "--size", "2", "f + + 2"]) == 2
 
+    def test_nf_superscript_digit_is_usage_error(self, capsys):
+        assert run_cli(["algebra", "nf", "--case", "4", "--size", "2", "2²"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error:") and "'²'" in err
+
+    def test_nf_high_theta_power(self, capsys):
+        # the theta-shift by sigma = 0 is the identity, so this takes well under a second
+        assert run_cli(["algebra", "nf", "--case", "4", "--size", "2", "theta^3000"]) == 0
+        assert capsys.readouterr().out == "theta^3000\n"
+
     def test_fuzz(self, capsys):
         assert run_cli(["algebra", "fuzz", "--case", "4", "--size", "2",
                         "--trials", "50", "--seed", "3"]) == 0

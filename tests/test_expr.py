@@ -63,6 +63,16 @@ class TestParseErrors:
         with pytest.raises(ExprError):
             parse_expr("f * g")
 
+    def test_superscript_digit_is_not_a_numeral(self):
+        # '²' passes str.isdigit but int() rejects it
+        with pytest.raises(ExprError) as err:
+            parse_expr("2²")
+        assert err.value.pos == 1
+        assert "unexpected character '²'" in str(err.value)
+
+    def test_non_ascii_decimal_digit_is_a_numeral(self):
+        assert parse_expr("٣*f") == BinOp("*", RatLit(Fraction(3)), Sym("f"))
+
     def test_zero_denominator(self):
         with pytest.raises(ExprError):
             parse_expr("3/0")

@@ -115,6 +115,7 @@ class TestUniPoly:
     def test_shift_zero_is_identity(self):
         p = UniPoly("s", (3, Fraction(-1, 2), 0, 5))
         assert p.shift(0) == p
+        assert p.shift(0) is p
 
     def test_shift_involution_random(self):
         rng = random.Random(99)
@@ -179,6 +180,21 @@ class TestRationalRoots:
             assert all(p.evaluate(r) == 0 for r in roots)
             for o in offsets:
                 assert roots.count(-o) >= offsets.count(o) and -o in roots
+
+    def test_offsets_are_the_negated_roots_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+
+        @hypothesis.settings(max_examples=200)
+        @hypothesis.given(st.lists(rationals, max_size=5))
+        def roots_of_product(offsets):
+            p = UniPoly.from_offsets("s", offsets)
+            expected = sorted(-o for o in offsets)
+            assert rational_roots(p) == expected
+            assert rational_roots(p * UniPoly("s", (2, 0, 1))) == expected   # s^2 + 2
+
+        roots_of_product()
 
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ValueError):
