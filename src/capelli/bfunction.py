@@ -15,8 +15,9 @@ c * b(m-1) * f^(m-1), by direct differentiation, which is (f Delta)(f^m) =
 c * b(m-1) * f^m divided by f.
 
 Each instance keeps its differentiation results in its own memo: b, the
-powers of f, and the scalars of delta_scalar.  delta_scalar never reads b,
-so the ladders and the annihilation check stay independent of compute_b.
+powers of f, the scalars of delta_scalar and the profiles of Delta and
+theta (profile).  delta_scalar never reads b, so the ladders and the
+annihilation check stay independent of compute_b.
 """
 
 from __future__ import annotations
@@ -73,23 +74,27 @@ def f_power(inst: CaseInstance, k: int) -> MultiPoly:
     return powers[k]
 
 
+def profile(inst: CaseInstance, name: str, offset: int) -> UniPoly:
+    """rho with op(f^s) = rho(s) * f^(s+offset), op being inst.delta or
+    inst.theta, by one twisted application per instance and operator."""
+    key = ("profile", name, offset)
+    if key not in inst.memo:
+        image = twisted_apply(getattr(inst, name), f_power_element(0, inst.f), inst.f)
+        inst.memo[key] = twisted_scalar_profile(image, inst.f, offset)
+    return inst.memo[key]
+
+
 def delta_scalar(inst: CaseInstance, exponent) -> Fraction:
     """The scalar rho with Delta(f^e) = rho * f^(e-1), by differentiation.
 
     Nonnegative integer exponents differentiate the plain polynomial f^e
-    and divide back by f^(e-1); everything else goes through the twisted
-    module, where the single symbolic profile rho(s) of Delta(f^s) is
-    computed once per instance and evaluated at the exponent.  Neither
-    path reads b.
+    and divide back by f^(e-1); everything else evaluates the symbolic
+    profile of Delta.  Neither path reads b.
     """
     e = as_fraction(exponent)
-    memo = inst.memo
     if e.denominator != 1 or e < 0:
-        if "delta_profile" not in memo:
-            image = twisted_apply(inst.delta, f_power_element(0, inst.f), inst.f)
-            memo["delta_profile"] = twisted_scalar_profile(image, inst.f, -1)
-        return as_fraction(memo["delta_profile"].evaluate(e))
-    scalars = memo.setdefault("delta", {})
+        return as_fraction(profile(inst, "delta", -1).evaluate(e))
+    scalars = inst.memo.setdefault("delta", {})
     k = int(e)
     if k not in scalars:
         scalars[k] = _plain_delta_scalar(inst, k)
@@ -158,7 +163,7 @@ def verify_table(case_id: int, size: int) -> BCertificate:
             f"case ({case_id}) size {size}: roots of b are not all rational")
     if b.evaluate(-1) != 0:
         raise NotProportional(f"case ({case_id}) size {size}: -1 is not a root of b")
-    expected = inst.expected_b
+    expected = spec.expected_b(size)
     if b == expected:
         verdict = VERDICT_MATCH
     elif spec.disputed and b == spec.catalog_b(size):

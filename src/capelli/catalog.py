@@ -4,11 +4,14 @@ Each table row carries its builder, which returns the variable names,
 the relative invariant f and the polynomial g whose constant-coefficient
 operator g(d) is the dual operator Delta; g = f except in case (2), whose
 dual puts half weights on the off-diagonal entries.  One generic
-constructor adds the Euler operator theta, reads d = deg f off f, and
-attaches the monic b-polynomial printed in the published table.  Two
-table rows are internally inconsistent (their printed b does not fit
+constructor adds the Euler operator theta and reads d = deg f off f.
+Two table rows are internally inconsistent (their printed b does not fit
 deg f); those rows carry a corrected rule and count as disputed, and the
 differential-operator oracle is the authority on which is right.
+
+Matrix entries are numbered column by column (upper triangles too), so
+twisted_apply, which splits an operator by its highest variable, expands
+a determinant or Pfaffian along its last column and shares the minors.
 """
 
 from __future__ import annotations
@@ -29,16 +32,15 @@ class CaseSpec:
     name: str
     build: Callable[[int], tuple]    # size -> (variable names, f, g); Delta = g(d)
     fixed_size: Optional[int]        # None for parametric cases
-    min_size: int
-    even_only: bool
     deg_f_rule: str
-    deg_f: Callable[[int], int]
     b_rule: str                      # as printed in the table
     printed_b_offsets: Callable[[int], list]
     isotropy_g: str                  # generic isotropy in G (display only)
     isotropy_derived: str            # generic isotropy in G' (display only)
     corrected_b_offsets: Optional[Callable[[int], list]] = None   # disputed rows only
     corrected_b_rule: Optional[str] = None
+    min_size: Optional[int] = None   # parametric cases only
+    even_only: bool = False
 
     @property
     def disputed(self) -> bool:
@@ -53,11 +55,7 @@ class CaseSpec:
     def valid_size(self, n: int) -> bool:
         if self.fixed_size is not None:
             return n == self.fixed_size
-        if n < self.min_size:
-            return False
-        if self.even_only and n % 2 != 0:
-            return False
-        return True
+        return n >= self.min_size and not (self.even_only and n % 2)
 
     def expected_b(self, n: int) -> UniPoly:
         """Monic b-polynomial in s as printed in the table."""
@@ -91,9 +89,8 @@ class CaseInstance:
     delta: WeylOp
     theta: WeylOp
     d: int
-    expected_b: UniPoly
-    # lazily filled differentiation results (b, powers of f, Delta scalars),
-    # owned by bfunction; never shared by a copy, ignored by equality
+    # lazily filled differentiation results (b, powers of f, Delta scalars,
+    # profiles), owned by bfunction; never shared by a copy, ignored by equality
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
@@ -147,7 +144,8 @@ def _quadric(n: int):
 
 
 def _symmetric(n: int):
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    # column by column, so twisted_apply's split shares minors (module docstring)
+    pairs = [(i, j) for j in range(n) for i in range(j + 1)]
     idx = {}
     for k, (i, j) in enumerate(pairs):
         idx[(i, j)] = k
@@ -160,7 +158,7 @@ def _symmetric(n: int):
 
 
 def _alternating(n: int):
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    pairs = [(i, j) for j in range(n) for i in range(j)]
     idx = {(i, j): k for k, (i, j) in enumerate(pairs)}
     f = _pfaffian(tuple(range(n)), idx, len(pairs))
     return tuple(f"x{i + 1}{j + 1}" for i, j in pairs), f, f
@@ -194,7 +192,6 @@ CASES = [
         build=_quadric,
         fixed_size=None, min_size=2, even_only=False,
         deg_f_rule="2",
-        deg_f=lambda n: 2,
         b_rule="(s+1)(s+n/2)",
         printed_b_offsets=lambda n: [Fraction(1), Fraction(n, 2)],
         isotropy_g="SO(1) x SO(n-1)", isotropy_derived="SO(1) x SO(n-1)",
@@ -205,7 +202,6 @@ CASES = [
         build=_symmetric,
         fixed_size=None, min_size=2, even_only=False,
         deg_f_rule="n",
-        deg_f=lambda n: n,
         b_rule="prod_{i=1..n} (s+(i+1)/2)",
         printed_b_offsets=lambda n: [Fraction(i + 1, 2) for i in range(1, n + 1)],
         isotropy_g="O(n)", isotropy_derived="SO(n)",
@@ -216,7 +212,6 @@ CASES = [
         build=_alternating,
         fixed_size=None, min_size=4, even_only=True,
         deg_f_rule="n/2",
-        deg_f=lambda n: n // 2,
         b_rule="prod_{i=1..n} (s+2i-1)",
         printed_b_offsets=lambda n: [Fraction(2 * i - 1) for i in range(1, n + 1)],
         corrected_b_offsets=lambda n: [Fraction(2 * i - 1) for i in range(1, n // 2 + 1)],
@@ -229,7 +224,6 @@ CASES = [
         build=_matrix,
         fixed_size=None, min_size=2, even_only=False,
         deg_f_rule="n",
-        deg_f=lambda n: n,
         b_rule="prod_{i=1..n} (s+i)",
         printed_b_offsets=lambda n: [Fraction(i) for i in range(1, n + 1)],
         isotropy_g="Sp(1) x Sp(n-1)", isotropy_derived="Sp(1) x Sp(n-1)",
@@ -240,7 +234,6 @@ CASES = [
         build=_pairing,
         fixed_size=None, min_size=2, even_only=False,
         deg_f_rule="2",
-        deg_f=lambda n: 2,
         b_rule="(s+1)(s+2n)",
         printed_b_offsets=lambda n: [Fraction(1), Fraction(2 * n)],
         isotropy_g="SL(n)", isotropy_derived="SL(n)",
@@ -249,9 +242,8 @@ CASES = [
         case_id=6,
         name="(SO(7) x C*, spin C^8)",
         build=_quadric,
-        fixed_size=8, min_size=8, even_only=False,
+        fixed_size=8,
         deg_f_rule="2",
-        deg_f=lambda n: 2,
         b_rule="(s+2)(s+4)",
         printed_b_offsets=lambda n: [Fraction(2), Fraction(4)],
         corrected_b_offsets=lambda n: [Fraction(1), Fraction(4)],
@@ -262,9 +254,8 @@ CASES = [
         case_id=7,
         name="(G_2 x C*, C^7)",
         build=_quadric,
-        fixed_size=7, min_size=7, even_only=False,
+        fixed_size=7,
         deg_f_rule="2",
-        deg_f=lambda n: 2,
         b_rule="(s+1)(s+7/2)",
         printed_b_offsets=lambda n: [Fraction(1), Fraction(7, 2)],
         isotropy_g="", isotropy_derived="",
@@ -273,9 +264,8 @@ CASES = [
         case_id=8,
         name="(GL(4) x Sp(2), M_4(C))",
         build=_matrix,
-        fixed_size=4, min_size=4, even_only=False,
+        fixed_size=4,
         deg_f_rule="4",
-        deg_f=lambda n: 4,
         b_rule="(s+1)(s+2)(s+3)(s+4)",
         printed_b_offsets=lambda n: [Fraction(i) for i in range(1, 5)],
         isotropy_g="", isotropy_derived="",
@@ -285,7 +275,8 @@ CASES = [
 # minimal legal size per case, used by `bs verify-all --sizes min`;
 # case (4) is verified at n=3 as well so the degree-3 determinant row
 # is exercised
-MIN_VERIFY_SIZES = [(1, 2), (2, 2), (3, 4), (4, 2), (4, 3), (5, 2), (6, 8), (7, 7), (8, 4)]
+MIN_VERIFY_SIZES = sorted([(spec.case_id, spec.fixed_size or spec.min_size) for spec in CASES]
+                          + [(4, 3)])
 DEFAULT_VERIFY_SIZES = MIN_VERIFY_SIZES + [(1, 4), (2, 3), (3, 6), (5, 3)]
 
 
@@ -315,7 +306,7 @@ def _instantiate_cached(case_id: int, size: int) -> CaseInstance:
     spec = case_spec(case_id)
     names, f, g = spec.build(size)
     return CaseInstance(case_id, size, names, f, WeylOp.const_coeff_from_poly(g),
-                        WeylOp.euler(len(names)), f.total_degree(), spec.expected_b(size))
+                        WeylOp.euler(len(names)), f.total_degree())
 
 
 def catalog_json() -> list:

@@ -28,17 +28,21 @@ def _parse_window(text: str):
         a, b = text.split(":")
         lo, hi = int(a), int(b)
     except ValueError:
-        raise ValueError(f"bad window {text!r}: expected a:b with integers")
+        raise ValueError(f"bad window {text[:40]!r}: expected a:b with integers")
     if lo > hi:
-        raise ValueError(f"bad window {text!r}: lower end exceeds upper end")
+        raise ValueError(f"bad window {text[:40]!r}: lower end exceeds upper end")
     return (lo, hi)
 
 
 def _parse_lambda(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"bad rational {text!r}: expected p/q or integer")
+    # [-]digits[/digits] only, digits by str.isdecimal as in the expression grammar
+    num, slash, den = text.removeprefix("-").partition("/")
+    if num.isdecimal() and (den.isdecimal() or not slash):
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):     # past the digit limit, or q = 0
+            pass
+    raise ValueError(f"bad rational {text[:40]!r}: expected p/q or integer")
 
 
 def _emit_json(obj):

@@ -111,7 +111,6 @@ def _numeral(digits: str, pos: int) -> int:
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.nesting = 0
@@ -291,8 +290,6 @@ def element_to_expr(x: AElement):
             if key < 0:
                 de = Sym("delta") if key == -1 else Pow(Sym("delta"), -key)
                 factors.append(de)
-            if not factors:
-                factors.append(RatLit(abs(c)))
             node = factors[0]
             for fct in factors[1:]:
                 node = BinOp("*", node, fct)

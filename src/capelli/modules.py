@@ -16,9 +16,9 @@ f^(k+lambda).  One builder lays out the shared skeleton (weights, N = 0,
 F = 1, window boundaries), and each side supplies its own D edges:
 build_ladder writes them straight from the relation data
 (APresentation.edge_scalar), psi_of_ladder recomputes them by genuine
-differentiation (bfunction.delta_scalar) after checking the theta weight
-at every step, and equivalence_witness checks that after gauge
-normalization the two agree edge for edge.
+differentiation (bfunction.delta_scalar) after checking each theta weight
+against bfunction.profile, and equivalence_witness checks that after
+gauge normalization the two agree edge for edge.
 """
 
 from __future__ import annotations
@@ -28,10 +28,10 @@ from fractions import Fraction
 from typing import Optional
 
 from .algebra import AElement, APresentation
-from .bfunction import delta_scalar, presentation_for
+from .bfunction import delta_scalar, presentation_for, profile
 from .catalog import CaseInstance
 from .poly import UniPoly, as_fraction, format_rational, rational_roots
-from .weyl import NotProportional, f_power_element, twisted_apply, twisted_scalar_profile
+from .weyl import NotProportional
 
 # -- tiny exact matrix helpers (lists of rows) ---------------------------
 
@@ -244,14 +244,11 @@ def psi_of_ladder(inst: CaseInstance, lam, window,
     if pres is None:
         pres = presentation_for(inst)
     ks = _window_range(window)
-    f = inst.f
-    # theta profile: theta(f^s) = rho(s) f^s, computed once
-    theta_profile = twisted_scalar_profile(
-        twisted_apply(inst.theta, f_power_element(0, f), f), f, 0)
+    theta = profile(inst, "theta", 0)       # theta(f^s) = rho(s) f^s
     for k in ks:
         # theta: weight must come out as d*(k+lambda), exactly, with N = 0
         alpha = ladder_weight(pres, lam, k)
-        weight = as_fraction(theta_profile.evaluate(lam + k))
+        weight = as_fraction(theta.evaluate(lam + k))
         if weight != alpha:
             raise NotProportional(
                 f"theta acts on f^(s+{k}) with weight {weight}, expected {alpha}")

@@ -187,9 +187,6 @@ class TwistedElement:
     q: MultiPoly
     m: int
 
-    def is_zero(self):
-        return self.q.is_zero()
-
 
 def f_power_element(k: int, f: MultiPoly) -> TwistedElement:
     """The element f^(s+k): numerator f^k at level 0 for k >= 0, else level -k."""

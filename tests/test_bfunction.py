@@ -137,8 +137,7 @@ class TestNotProportional:
         inst = instantiate(4, 2)
         wrong = WeylOp.const_coeff_from_poly(MultiPoly.variable(4, 0) ** 2)
         return CaseInstance(case_id=4, size=2, variables=inst.variables, f=inst.f,
-                            delta=wrong, theta=inst.theta, d=2,
-                            expected_b=inst.expected_b)
+                            delta=wrong, theta=inst.theta, d=2)
 
     def test_compute_b_rejects_wrong_dual(self):
         from capelli.weyl import NotProportional

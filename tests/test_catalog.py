@@ -2,10 +2,15 @@ from fractions import Fraction
 
 import pytest
 
-from capelli.catalog import (CASES, DEFAULT_VERIFY_SIZES, case_spec, catalog_json, instantiate,
+from capelli.catalog import (CASES, DEFAULT_VERIFY_SIZES, MIN_VERIFY_SIZES, case_spec, catalog_json, instantiate,
                              list_cases)
 from capelli.poly import MultiPoly, UniPoly
 from capelli.weyl import weyl_apply
+
+
+def printed_deg_f(case_id, n):
+    """The table's deg f column ("2", "n", "n/2", ...) evaluated at n."""
+    return Fraction(case_spec(case_id).deg_f_rule.replace("n", str(n)))
 
 
 def test_eight_rows_in_order():
@@ -26,6 +31,13 @@ def test_expected_b_rows():
     assert case_spec(4).expected_b(3) == UniPoly.from_offsets("s", [1, 2, 3])
     assert case_spec(1).expected_b(7) == case_spec(7).expected_b(7)
     assert case_spec(5).expected_b(2) == UniPoly.from_offsets("s", [1, 4])
+
+
+def test_min_verify_sizes_follow_the_rows():
+    # each row's fixed or minimum size, plus (4,3) for the degree-3 determinant
+    assert MIN_VERIFY_SIZES == [(1, 2), (2, 2), (3, 4), (4, 2), (4, 3), (5, 2), (6, 8), (7, 7),
+                                (8, 4)]
+    assert all(case_spec(cid).valid_size(n) for cid, n in MIN_VERIFY_SIZES)
 
 
 def test_disputed_row_rules():
@@ -60,7 +72,8 @@ class TestInstantiate:
     def test_pfaffian_n4(self):
         inst = instantiate(3, 4)
         assert len(inst.variables) == 6
-        assert inst.variables == ("x12", "x13", "x14", "x23", "x24", "x34")
+        # column by column, so twisted_apply's split shares minors
+        assert inst.variables == ("x12", "x13", "x23", "x14", "x24", "x34")
         v = {name: MultiPoly.variable(6, i) for i, name in enumerate(inst.variables)}
         assert inst.f == v["x12"] * v["x34"] - v["x13"] * v["x24"] + v["x14"] * v["x23"]
         assert inst.d == 2
@@ -87,7 +100,7 @@ class TestInstantiate:
         assert inst8.f == inst4.f
         assert inst8.delta == inst4.delta
         assert inst8.theta == inst4.theta
-        assert inst8.expected_b == inst4.expected_b
+        assert case_spec(8).expected_b(4) == case_spec(4).expected_b(4)
 
     @pytest.mark.parametrize("case_id,size", [
         (1, 1), (2, 1), (3, 3), (3, 2), (4, 1), (5, 1), (6, 7), (7, 8), (8, 3), (9, 2),
@@ -101,12 +114,12 @@ class TestInstantiate:
         inst = instantiate(case_id, size)
         assert weyl_apply(inst.theta, inst.f) == inst.d * inst.f
         assert inst.f.total_degree() == inst.d
-        assert case_spec(case_id).deg_f(size) == inst.d
+        assert printed_deg_f(case_id, size) == inst.d
 
     def test_deg_f_rules(self):
-        assert case_spec(2).deg_f(5) == 5
-        assert case_spec(3).deg_f(6) == 3
-        assert case_spec(4).deg_f(3) == 3
+        assert printed_deg_f(2, 5) == instantiate(2, 5).d == 5
+        assert printed_deg_f(3, 6) == instantiate(3, 6).d == 3
+        assert printed_deg_f(4, 3) == instantiate(4, 3).d == 3
 
 
 def test_catalog_json_shape():

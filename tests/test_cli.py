@@ -1,10 +1,12 @@
 import json
+import time
 
 import pytest
 
 from capelli import bfunction
 from capelli.cli import main
 from capelli.poly import UniPoly
+from capelli.weyl import NotProportional
 
 
 def run_cli(args):
@@ -44,6 +46,13 @@ class TestBs:
         assert "(s+1)(s+2)(s+3)(s+4)(s+5)" in out
         assert "verdict = match" in out
 
+    def test_compute_alternating_n8(self, capsys):
+        # the Pfaffian's minors are shared because the entries run column by column
+        assert run_cli(["bs", "compute", "--case", "3", "--size", "8"]) == 0
+        out = capsys.readouterr().out
+        assert "b = (s+1)(s+3)(s+5)(s+7)  " in out
+        assert "verdict = mismatch-disputed-row" in out
+
     def test_compute_json(self, capsys):
         assert run_cli(["bs", "compute", "--case", "2", "--size", "2", "--json"]) == 0
         out = capsys.readouterr().out
@@ -75,6 +84,17 @@ class TestBs:
         monkeypatch.setattr(bfunction, "compute_b", fake_compute_b)
         assert run_cli(["bs", "compute", "--case", "4", "--size", "2"]) == 1
         assert run_cli(["bs", "verify-all", "--sizes", "min"]) == 1
+
+
+    def test_not_proportional_exits_one(self, capsys, monkeypatch):
+        def failing_compute_b(inst):
+            raise NotProportional("planted")
+
+        monkeypatch.setattr(bfunction, "compute_b", failing_compute_b)
+        assert run_cli(["bs", "compute", "--case", "4", "--size", "2"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: twisted computation not proportional: planted\n"
 
 
 class TestAlgebra:
@@ -151,6 +171,11 @@ class TestModule:
         assert doc["witness"]["passed"] is True
         assert json.dumps(doc, indent=2) == out.strip()
 
+    def test_psi_deep_window(self, capsys):
+        assert run_cli(["module", "psi", "--case", "1", "--size", "2",
+                        "--lambda", "0", "--window", "600:601"]) == 0
+        assert "equivalence witness: pass" in capsys.readouterr().out
+
     def test_breaks_formatting(self, capsys):
         assert run_cli(["module", "breaks", "--case", "4", "--size", "2",
                         "--lambda", "0", "--window", "-4:4"]) == 0
@@ -174,6 +199,18 @@ class TestExitCodes:
     ])
     def test_usage_errors(self, args, capsys):
         assert run_cli(args) == 2
+
+    @pytest.mark.parametrize("text", ["1e3000000", "1.5", "1" * 5001],
+                             ids=["exponent", "decimal-point", "5001-digits"])
+    def test_lambda_outside_the_grammar(self, text, capsys):
+        start = time.perf_counter()
+        assert run_cli(["module", "breaks", "--case", "4", "--size", "2",
+                        "--lambda", text, "--window", "0:1"]) == 2
+        assert time.perf_counter() - start < 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: bad rational") and err.count("\n") == 1
+        assert len(err) < 120
 
     def test_missing_subcommand(self, capsys):
         assert run_cli(["bs"]) == 2

@@ -27,6 +27,8 @@ COMMANDS = [
     ["bs", "verify-all", "--sizes", "min"],
     ["bs", "verify-all", "--sizes", "default", "--json"],
     ["bs", "compute", "--case", "3", "--size", "4"],
+    ["bs", "compute", "--case", "2", "--size", "4", "--json"],
+    ["bs", "compute", "--case", "3", "--size", "6"],
     ["algebra", "nf", *CASE_4_2, "delta*f - 2*f*delta + theta^2"],
     ["algebra", "fuzz", *CASE_4_2, "--trials", "200", "--seed", "3"],
     ["module", "ladder", "--case", "8", "--size", "4", "--lambda", "0", "--window", "0:3"],

@@ -1,8 +1,11 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
+import capelli
+from capelli import modules
 from capelli.algebra import DELTA, F, THETA, AElement, from_word
 from capelli.bfunction import presentation_for
 from capelli.catalog import instantiate
@@ -10,6 +13,7 @@ from capelli.modules import (GradedModule, act, break_points, build_ladder,
                              direct_sum, equivalence_witness, gauge_normalize,
                              ladder_weight, mat_identity, psi_of_ladder, validate)
 from capelli.poly import rational_roots
+from capelli.weyl import NotProportional
 
 
 @pytest.fixture(scope="module")
@@ -169,6 +173,11 @@ class TestPsi:
         assert T.D[ladder_weight(pres4, 0, 1)][0][0] == 2
         assert validate(T) == []
 
+    def test_theta_weight_mismatch(self, inst4, pres4):
+        doubled = dataclasses.replace(inst4, theta=2 * inst4.theta)
+        with pytest.raises(NotProportional, match="theta acts on"):
+            psi_of_ladder(doubled, 0, (0, 2), pres=pres4)
+
 
 class TestPsiValidatesEverywhere:
     def test_all_cases_three_twists(self, min_instances, min_presentations):
@@ -236,6 +245,28 @@ class TestWitness:
     def test_pfaffian(self):
         inst = instantiate(3, 4)
         assert equivalence_witness(inst, 0, (0, 3)).passed
+
+    def test_wrong_d_edge_fails(self, inst4, pres4, monkeypatch):
+        original = modules.delta_scalar
+        monkeypatch.setattr(modules, "delta_scalar", lambda inst, e: original(inst, e) + 1)
+        report = equivalence_witness(inst4, 0, (0, 3), pres=pres4)
+        assert not report.passed
+        assert report.detail.startswith("D edge at weight")
+
+    def test_each_profile_is_computed_once(self, monkeypatch):
+        # compute_b, the Delta profile and the theta profile, whatever the
+        # number of twists; every module binding of twisted_apply is counted
+        calls = []
+        for name in ("bfunction", "modules"):
+            mod = getattr(capelli, name)
+            if hasattr(mod, "twisted_apply"):
+                inner = mod.twisted_apply
+                monkeypatch.setattr(mod, "twisted_apply",
+                                    lambda *a, inner=inner: calls.append(1) or inner(*a))
+        inst = dataclasses.replace(instantiate(4, 2))
+        for lam in ("1/2", "1/3", "-1/2", "2/3", "-5/4"):
+            assert equivalence_witness(inst, Fraction(lam), (-2, 2)).passed
+        assert len(calls) == 3
 
     def test_gauge_normalization_recovers_edges(self, pres4):
         T = build_ladder(pres4, 0, (0, 3))
