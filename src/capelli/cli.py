@@ -23,21 +23,29 @@ from .poly import format_rational
 from .weyl import NotProportional
 
 
+def _is_integer(text: str) -> bool:
+    # [-]digits, digits by str.isdecimal as in the expression grammar
+    return text.removeprefix("-").isdecimal()
+
+
 def _parse_window(text: str):
-    try:
-        a, b = text.split(":")
-        lo, hi = int(a), int(b)
-    except ValueError:
-        raise ValueError(f"bad window {text[:40]!r}: expected a:b with integers")
-    if lo > hi:
-        raise ValueError(f"bad window {text[:40]!r}: lower end exceeds upper end")
-    return (lo, hi)
+    a, colon, b = text.partition(":")
+    if colon and _is_integer(a) and _is_integer(b):
+        try:
+            lo, hi = int(a), int(b)
+        except ValueError:                          # past the digit limit
+            pass
+        else:
+            if lo > hi:
+                raise ValueError(f"bad window {text[:40]!r}: lower end exceeds upper end")
+            return (lo, hi)
+    raise ValueError(f"bad window {text[:40]!r}: expected a:b with integers")
 
 
 def _parse_lambda(text: str) -> Fraction:
-    # [-]digits[/digits] only, digits by str.isdecimal as in the expression grammar
-    num, slash, den = text.removeprefix("-").partition("/")
-    if num.isdecimal() and (den.isdecimal() or not slash):
+    # [-]digits[/digits] only
+    num, slash, den = text.partition("/")
+    if _is_integer(num) and (den.isdecimal() or not slash):
         try:
             return Fraction(text)
         except (ValueError, ZeroDivisionError):     # past the digit limit, or q = 0

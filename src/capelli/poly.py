@@ -10,14 +10,24 @@ sums, scalar multiples) that ``MultiPoly`` here and ``weyl.WeylOp`` share;
 each subclass adds only its unit key and its product.  ``power`` is the
 one powering loop, used by both polynomial classes and by the quotient
 algebra.
+
+The plain kernels, MultiPoly.__mul__ and weyl.weyl_apply, work on packed
+keys: an exponent tuple becomes one int, each variable a field of whole
+bytes, lowest variable lowest (_packing).  A monomial product is then one
+int add.  Packing is exact only while no field carries into or borrows
+from its neighbour, so each call chooses the field width from its
+operands' largest exponents; keys are packed on entry and unpacked on
+exit, and .terms stays tuple-keyed.
 """
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from functools import reduce
+from itertools import repeat
 from math import gcd
-from operator import add as _add, mul as _mul
+from operator import add as _add, mul as _mul, or_
 
 
 def ratio(a, b):
@@ -38,6 +48,46 @@ def format_rational(c) -> str:
 
 def _grlex(exps):
     return (sum(exps), exps)
+
+
+def _packing(groups, arity, need):
+    """Pack groups of exponent tuples, each of length arity, into ints.
+
+    Each variable gets a field of whole bytes, lowest variable lowest.
+    need maps an upper bound on each group's entries to the largest value
+    a field must hold, and the fields are made just wide enough for it.
+    Returns (field bits, one list of packed ints per group, unpack), where
+    unpack maps an iterable of packed ints back to tuples.
+
+    One-byte fields are packed in C (int.from_bytes over bytes), and each
+    group's bound is read off the OR of its packed keys, which is below
+    twice its largest entry.  Wider fields, which only large exponents
+    need, take the exact maxima and a slower loop.
+    """
+    try:
+        packed = [list(map(int.from_bytes, map(bytes, keys), repeat("little")))
+                  for keys in groups]
+        # one spare zero byte, so that arity 0 or no keys give bound 0
+        bounds = [max(reduce(or_, ks, 0).to_bytes(arity + 1, "little")) for ks in packed]
+    except ValueError:                      # an entry past 255
+        pass
+    else:
+        if need(bounds) < 256:
+            return 8, packed, lambda keys: map(
+                tuple, map(int.to_bytes, keys, repeat(arity), repeat("little")))
+    width = (need([max(map(max, keys), default=0) if arity else 0 for keys in groups])
+             .bit_length() + 7) // 8
+    size = width * arity
+
+    def pack(e):
+        return int.from_bytes(b"".join(x.to_bytes(width, "little") for x in e), "little")
+
+    def unpack(keys):
+        for k in keys:
+            b = k.to_bytes(size, "little")
+            yield tuple(int.from_bytes(b[i:i + width], "little") for i in range(0, size, width))
+
+    return 8 * width, [list(map(pack, keys)) for keys in groups], unpack
 
 
 def power(x, n, one, mul):
@@ -219,22 +269,25 @@ class MultiPoly(TermMap):
         if not isinstance(other, MultiPoly):
             return self._scale(other)
         self._check(other)
+        n = self.arity
+        _, (left, right), unpack = _packing((self.terms, other.terms), n, sum)
+        right = list(zip(right, other.terms.values()))
         out = {}
         get = out.get
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(_add, e1, e2))
+        for k1, c1 in zip(left, self.terms.values()):
+            for k2, c2 in right:
+                k = k1 + k2
                 c = c1 * c2
-                acc = get(e)
+                acc = get(k)
                 if acc is None:
-                    out[e] = c
+                    out[k] = c
                 else:
                     acc = acc + c
                     if acc == 0:
-                        del out[e]
+                        del out[k]
                     else:
-                        out[e] = acc
-        return MultiPoly(self.arity, out)
+                        out[k] = acc
+        return MultiPoly(n, dict(zip(unpack(out), out.values())))
 
     __rmul__ = __mul__
 

@@ -212,6 +212,21 @@ class TestExitCodes:
         assert err.startswith("error: bad rational") and err.count("\n") == 1
         assert len(err) < 120
 
+    @pytest.mark.parametrize("text", [" +0:1_0", "0:1_0", "0 :1", "+0:1", "0:", "1.0:2",
+                                      "0:1:2", "1" * 5001 + ":1"],
+                             ids=["padded-sign-underscore", "underscore", "space", "plus",
+                                  "empty-end", "decimal-point", "three-ends", "5001-digits"])
+    def test_window_outside_the_grammar(self, text, capsys):
+        assert run_cli(["module", "breaks", "--case", "4", "--size", "2",
+                        "--lambda", "0", "--window", text]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: bad window {text[:40]!r}: expected a:b with integers\n"
+
+    def test_negative_window_ends(self, capsys):
+        assert run_cli(["module", "breaks", "--case", "4", "--size", "2",
+                        "--lambda", "0", "--window", "-3:-1"]) == 0
+
     def test_missing_subcommand(self, capsys):
         assert run_cli(["bs"]) == 2
 

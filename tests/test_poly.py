@@ -62,6 +62,66 @@ class TestMultiPolyMul:
             assert p + (q + r) == (p + q) + r
 
 
+def naive_product(p, q):
+    """Tuple-keyed reference product, one exponent tuple per term pair."""
+    out = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+# exponents at and around the edges of one-, two-, four- and eight-byte fields
+EDGES = [0, 1, 100, 127, 128, 200, 255, 256, 2**16 - 1, 2**16, 2**32, 2**64]
+
+
+class TestPackedProduct:
+    """The product packs each exponent into a field of whole bytes, as wide
+    as the operands' largest exponents need; no field may carry into the next."""
+
+    @pytest.mark.parametrize("a, b", [(127, 1), (128, 127), (255, 1), (200, 100),
+                                      (2**16 - 1, 1), (2**32, 2**32), (2**64, 1)])
+    def test_field_edges(self, a, b):
+        p = MultiPoly.monomial(1, (a,), 3)
+        q = MultiPoly.monomial(1, (b,), -2)
+        assert (p * q).terms == naive_product(p, q) == {(a + b,): -6}
+
+    @pytest.mark.parametrize("big", [127, 128, 255, 256, 300, 2**16, 2**40])
+    def test_no_carry_into_the_next_variable(self, big):
+        # a carry out of one variable would land in a neighbour whose own
+        # exponents are small
+        p = MultiPoly(3, {(big, 0, 1): 2, (1, big, 0): -1, (0, 1, big): 3, (0, 0, 0): 1})
+        q = MultiPoly(3, {(big, 1, 0): 1, (1, 0, big): 5, (0, 0, 0): -2, (big, big, big): 1})
+        assert (p * q).terms == naive_product(p, q)
+        assert q * p == p * q
+
+    def test_cancellation_across_wide_fields(self):
+        x0, x1 = MultiPoly.monomial(2, (200, 0)), MultiPoly.monomial(2, (0, 300))
+        assert ((x0 + x1) * (x0 - x1)).terms == {(400, 0): 1, (0, 600): -1}
+
+    def test_arity_zero_and_one(self):
+        assert (MultiPoly.constant(0, 3) * MultiPoly.constant(0, -2)).terms == {(): -6}
+        t = MultiPoly.variable(1, 0)
+        assert ((t + 1) * (t - 1)).terms == {(2,): 1, (0,): -1}
+
+    @pytest.mark.parametrize("arity", [0, 1, 3])
+    def test_zero_polynomial(self, arity):
+        p = MultiPoly.monomial(arity, (255,) * arity, 7)
+        assert (p * MultiPoly.zero(arity)).is_zero()
+        assert (MultiPoly.zero(arity) * p).is_zero()
+
+    def test_random_near_the_edges(self):
+        rng = random.Random(20261018)
+        for _ in range(300):
+            arity = rng.randint(0, 3)
+            p, q = (MultiPoly(arity, {tuple(rng.choice(EDGES) for _ in range(arity)):
+                                      rng.choice([-2, -1, 1, 3])
+                                      for _ in range(rng.randint(0, 4))})
+                    for _ in range(2))
+            assert (p * q).terms == naive_product(p, q)
+
+
 class TestDivideExact:
     def test_square_by_base(self):
         f = det2()

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -81,6 +82,94 @@ class TestWeylApply:
     def test_delta_kills_constants(self):
         inst = instantiate(4, 2)
         assert weyl_apply(inst.delta, MultiPoly.one(4)).is_zero()
+
+
+def naive_apply(a, p):
+    """Tuple-keyed reference for weyl_apply: x^alpha d^beta on each x^e."""
+    out = {}
+    for (alpha, beta), c in a.terms.items():
+        for e, pc in p.terms.items():
+            if all(x >= b for x, b in zip(e, beta)):
+                coef = c * pc
+                for x, b in zip(e, beta):
+                    coef *= factorial(x) // factorial(x - b)
+                ne = tuple(x - b + y for x, b, y in zip(e, beta, alpha))
+                out[ne] = out.get(ne, 0) + coef
+    return {e: c for e, c in out.items() if c}
+
+
+def term(arity, alpha, beta, c=1):
+    return WeylOp(arity, {(tuple(alpha), tuple(beta)): c})
+
+
+class TestPackedApply:
+    """weyl_apply tests e >= beta in every packed field at once through a
+    guard bit per field; no field may borrow from or carry into the next."""
+
+    @pytest.mark.parametrize("k", [0, 1, 126, 127, 128, 255, 256, 300])
+    def test_no_borrow_from_the_next_variable(self, k):
+        # d_1 on x_1^0 x_2^k, and d_2 on x_1^k x_2^0: both are zero
+        assert weyl_apply(WeylOp.partial(2, 0), MultiPoly.monomial(2, (0, k))).is_zero()
+        assert weyl_apply(WeylOp.partial(2, 1), MultiPoly.monomial(2, (k, 0))).is_zero()
+
+    def test_high_derivative_of_a_wide_field(self):
+        d130 = term(1, (0,), (130,))
+        assert weyl_apply(d130, MultiPoly.monomial(1, (200,))).terms == {
+            (70,): factorial(200) // factorial(70)}
+        assert weyl_apply(d130, MultiPoly.monomial(1, (130,))).terms == {(0,): factorial(130)}
+        assert weyl_apply(d130, MultiPoly.monomial(1, (129,))).is_zero()
+
+    @pytest.mark.parametrize("e, alpha, beta", [
+        (127, 0, 1), (127, 0, 127), (127, 0, 128), (128, 0, 128), (64, 63, 1),
+        (64, 64, 0), (255, 1, 1), (255, 0, 256), (300, 300, 299), (2**16, 0, 1)])
+    def test_field_edges(self, e, alpha, beta):
+        a = term(2, (alpha, 1), (beta, 0), 3)
+        p = MultiPoly(2, {(e, 2): 1, (e - 1, 0): -2, (0, e): 5})
+        assert weyl_apply(a, p).terms == naive_apply(a, p)
+
+    def test_arity_zero_and_one(self):
+        assert weyl_apply(WeylOp.constant(0, 3), MultiPoly.constant(0, 2)).terms == {(): 6}
+        t = MultiPoly.variable(1, 0)
+        assert weyl_apply(WeylOp.euler(1), t ** 3 + 1).terms == {(3,): 3}
+
+    @pytest.mark.parametrize("arity", [0, 1, 3])
+    def test_zero_operand(self, arity):
+        p = MultiPoly.monomial(arity, (255,) * arity, 7)
+        assert weyl_apply(WeylOp.zero(arity), p).is_zero()
+        assert weyl_apply(WeylOp.one(arity), MultiPoly.zero(arity)).is_zero()
+
+    def test_random_near_the_edges(self):
+        rng = random.Random(20261018)
+        edges = [0, 1, 2, 63, 64, 127, 128, 129, 255, 256, 300]
+        for _ in range(300):
+            arity = rng.randint(0, 3)
+
+            def exps():
+                return tuple(rng.choice(edges) for _ in range(arity))
+
+            a = WeylOp(arity, {(exps(), exps()): rng.choice([-1, 1, 2])
+                               for _ in range(rng.randint(0, 3))})
+            p = MultiPoly(arity, {exps(): rng.choice([-3, 1, 2]) for _ in range(rng.randint(0, 4))})
+            assert weyl_apply(a, p).terms == naive_apply(a, p)
+
+    @pytest.mark.parametrize("arity", [1, 2, 3])
+    def test_product_acts_as_composition_property(self, arity):
+        # weyl_mul and weyl_apply share no code: (ab)p = a(bp)
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        exps = st.tuples(*[st.integers(0, 3)] * arity)
+        coefs = st.integers(-4, 4).filter(bool)
+        ops = st.dictionaries(st.tuples(exps, exps), coefs, max_size=4).map(
+            lambda terms: WeylOp(arity, terms))
+        polys = st.dictionaries(exps, coefs, max_size=5).map(
+            lambda terms: MultiPoly(arity, terms))
+
+        @hypothesis.settings(max_examples=150)
+        @hypothesis.given(ops, ops, polys)
+        def acts(a, b, p):
+            assert weyl_apply(weyl_mul(a, b), p) == weyl_apply(a, weyl_apply(b, p))
+
+        acts()
 
 
 class TestCatalogCommutators:
