@@ -22,7 +22,7 @@ from functools import lru_cache
 from itertools import permutations
 from typing import Callable, Optional
 
-from .poly import MultiPoly, UniPoly
+from .poly import MultiPoly, UniPoly, _nonzero
 from .weyl import WeylOp
 
 
@@ -110,12 +110,8 @@ def _det(entry, n: int, arity: int) -> MultiPoly:
             exps[idx] += 1
             coef = coef * factor
         key = tuple(exps)
-        acc = terms.get(key, 0) + coef
-        if acc == 0:
-            terms.pop(key, None)
-        else:
-            terms[key] = acc
-    return MultiPoly(arity, terms)
+        terms[key] = terms.get(key, 0) + coef
+    return MultiPoly(arity, _nonzero(terms))
 
 
 def _pfaffian(indices, var_of_pair, arity) -> MultiPoly:

@@ -3,11 +3,14 @@
 Scalars are arbitrary-precision rationals.  We use ``fractions.Fraction``
 and plain ``int`` interchangeably as coefficients (an int is a rational
 with denominator 1; mixing the two is exact and keeps the all-integer
-hot paths fast).  No floating point anywhere.
+hot paths fast).  No floating point anywhere: every scalar path
+(``constant``, a product by a scalar) raises TypeError for anything else.
 
 ``TermMap`` holds the sparse additive structure (construction, equality,
 sums, scalar multiples) that ``MultiPoly`` here and ``weyl.WeylOp`` share;
-each subclass adds only its unit key and its product.  ``power`` is the
+each subclass adds only its unit key and its product.  No zero coefficient
+is stored: each sparse sum adds into a scratch dict, and ``_nonzero`` alone
+drops the zeros, once, as the result is built.  ``power`` is the
 one powering loop, used by both polynomial classes and by the quotient
 algebra.
 
@@ -27,7 +30,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import repeat
 from math import gcd
-from operator import add as _add, mul as _mul, or_
+from operator import add as _add, mul as _mul, neg as _neg, or_, sub as _sub
 
 
 def ratio(a, b):
@@ -48,6 +51,18 @@ def format_rational(c) -> str:
 
 def _grlex(exps):
     return (sum(exps), exps)
+
+
+def _check_scalar(c, cls):
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError(f"cannot combine {cls.__name__} and {type(c).__name__}")
+
+
+def _nonzero(terms):
+    """Delete the zero coefficients from the dict terms, in place, and return it."""
+    for k in [k for k, c in terms.items() if c == 0]:
+        del terms[k]
+    return terms
 
 
 def _packing(groups, arity, need):
@@ -131,10 +146,11 @@ class TermMap:
 
     The additive structure shared by MultiPoly (keys are exponent vectors)
     and weyl.WeylOp (keys are pairs of them).  Zero coefficients are never
-    stored, so equality of the term maps is equality of the values; values
-    of different subclasses are never equal, and adding or multiplying
-    them raises TypeError.  A subclass supplies its unit key and its
-    product.
+    stored (every summing loop builds its result through _nonzero), so
+    equality of the term maps is equality of the values.  A scalar is an
+    int or a Fraction; values of different subclasses are never equal, and
+    adding or multiplying them raises TypeError.  A subclass supplies its
+    unit key and its product.
     """
 
     __slots__ = ("arity", "terms")
@@ -155,9 +171,8 @@ class TermMap:
 
     @classmethod
     def constant(cls, arity, c):
-        if c == 0:
-            return cls(arity)
-        return cls(arity, {cls.unit_key(arity): c})
+        _check_scalar(c, cls)
+        return cls(arity, _nonzero({cls.unit_key(arity): c}))
 
     @classmethod
     def one(cls, arity):
@@ -183,18 +198,16 @@ class TermMap:
 
     def __add__(self, other):
         if type(other) is not type(self):
-            if isinstance(other, TermMap):
-                return NotImplemented       # neither is a scalar of the other
             other = self.constant(self.arity, other)
         self._check(other)
         out = dict(self.terms)
         for k, c in other.terms.items():
-            nc = out.get(k, 0) + c
-            if nc == 0:
-                out.pop(k, None)
+            acc = out.get(k)
+            if acc is None:
+                out[k] = c
             else:
-                out[k] = nc
-        return type(self)(self.arity, out)
+                out[k] = acc + c
+        return type(self)(self.arity, _nonzero(out))
 
     __radd__ = __add__
 
@@ -208,11 +221,8 @@ class TermMap:
         return (-self) + other
 
     def _scale(self, c):
-        if isinstance(c, TermMap):
-            raise TypeError(f"cannot multiply {type(self).__name__} and {type(c).__name__}")
-        if c == 0:
-            return type(self)(self.arity)
-        return type(self)(self.arity, {k: v * c for k, v in self.terms.items()})
+        _check_scalar(c, type(self))
+        return type(self)(self.arity, _nonzero({k: v * c for k, v in self.terms.items()}))
 
 
 class MultiPoly(TermMap):
@@ -238,12 +248,10 @@ class MultiPoly(TermMap):
 
     @classmethod
     def monomial(cls, arity, exps, c=1):
-        if c == 0:
-            return cls(arity)
         exps = tuple(exps)
         if len(exps) != arity:
             raise ValueError("exponent vector length != arity")
-        return cls(arity, {exps: c})
+        return cls(arity, _nonzero({exps: c}))
 
     # -- queries -------------------------------------------------------
 
@@ -282,12 +290,8 @@ class MultiPoly(TermMap):
                 if acc is None:
                     out[k] = c
                 else:
-                    acc = acc + c
-                    if acc == 0:
-                        del out[k]
-                    else:
-                        out[k] = acc
-        return MultiPoly(n, dict(zip(unpack(out), out.values())))
+                    out[k] = acc + c
+        return MultiPoly(n, _nonzero(dict(zip(unpack(out), out.values()))))
 
     __rmul__ = __mul__
 
@@ -308,43 +312,39 @@ class MultiPoly(TermMap):
     def divide_exact(self, q: "MultiPoly"):
         """Return r with q*r == self, or None when self is not a multiple of q.
 
-        Leading-term division under graded lex; a lazy max-heap tracks the
-        current leading exponent of the remainder so each round costs
-        O(|q| log T) instead of a full rescan.
+        Leading-term division under graded lex (Johnson 1974; Monagan and
+        Pearce, J. Symb. Comp. 46, 2011).  A heap pops the remainder's
+        exponents grlex-largest first, each pushed once when it enters.
+        Every update lands strictly below the popped lead, so each exponent
+        is popped once, after its last update; a zero one has cancelled.
         """
         self._check(q)
         if q.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero():
-            return MultiPoly(self.arity)
         qlead = max(q.terms, key=_grlex)
         qc = q.terms[qlead]
-        qitems = list(q.terms.items())
+        qrest = [(e, c) for e, c in q.terms.items() if e != qlead]
         rem = dict(self.terms)
         # min-heap keyed to pop the grlex-largest exponent first
-        heap = [(-sum(e), tuple(-x for x in e), e) for e in rem]
+        heap = [(-sum(e), tuple(map(_neg, e)), e) for e in rem]
         heapq.heapify(heap)
         quot = {}
-        while rem:
+        while heap:
             rlead = heapq.heappop(heap)[2]
-            if rlead not in rem:
-                continue        # stale entry, already cancelled
-            diff = tuple(a - b for a, b in zip(rlead, qlead))
+            rc = rem.pop(rlead)
+            if rc == 0:
+                continue
+            diff = tuple(map(_sub, rlead, qlead))
             if any(x < 0 for x in diff):
                 return None
-            coef = ratio(rem[rlead], qc)
+            coef = ratio(rc, qc)
             quot[diff] = coef
-            for e, c in qitems:
+            for e, c in qrest:
                 te = tuple(map(_add, diff, e))
                 old = rem.get(te)
-                nc = (0 if old is None else old) - coef * c
-                if nc == 0:
-                    if old is not None:
-                        del rem[te]
-                else:
-                    rem[te] = nc
-                    if old is None:
-                        heapq.heappush(heap, (-sum(te), tuple(-x for x in te), te))
+                if old is None:
+                    heapq.heappush(heap, (-sum(te), tuple(map(_neg, te)), te))
+                rem[te] = (0 if old is None else old) - coef * c
         return MultiPoly(self.arity, quot)
 
     # -- variable plumbing ----------------------------------------------
@@ -361,15 +361,9 @@ class MultiPoly(TermMap):
         for e, c in self.terms.items():
             k = e[-1]
             nc = c * (value ** k if k else 1)
-            if nc == 0:
-                continue
             ne = e[:-1]
-            acc = out.get(ne, 0) + nc
-            if acc == 0:
-                out.pop(ne, None)
-            else:
-                out[ne] = acc
-        return MultiPoly(self.arity - 1, out)
+            out[ne] = out.get(ne, 0) + nc
+        return MultiPoly(self.arity - 1, _nonzero(out))
 
     def format(self) -> str:
         """Human-readable form in x1, x2, ..., graded-lex descending."""
@@ -402,6 +396,7 @@ class UniPoly:
 
     @classmethod
     def constant(cls, symbol, c):
+        _check_scalar(c, cls)
         return cls(symbol, (c,))
 
     @classmethod
@@ -471,6 +466,7 @@ class UniPoly:
 
     def __mul__(self, other):
         if not isinstance(other, UniPoly):
+            _check_scalar(other, UniPoly)
             return UniPoly(self.symbol, tuple(c * other for c in self.coeffs))
         self._check(other)
         if self.is_zero() or other.is_zero():

@@ -40,18 +40,11 @@ from dataclasses import dataclass
 from itertools import product as _iproduct
 from math import comb, perm
 
-from .poly import MultiPoly, TermMap, UniPoly, _packing, ratio
+from .poly import MultiPoly, TermMap, UniPoly, _nonzero, _packing, ratio
 
 
 class NotProportional(Exception):
     """A twisted result failed to be a pure s-polynomial times a power of f."""
-
-
-def _falling(n: int, k: int) -> int:
-    out = 1
-    for t in range(k):
-        out *= n - t
-    return out
 
 
 class WeylOp(TermMap):
@@ -120,37 +113,23 @@ def weyl_mul(a: WeylOp, b: WeylOp) -> WeylOp:
     out = {}
     for (a1, b1), c1 in a.terms.items():
         for (a2, b2), c2 in b.terms.items():
-            base = c1 * c2
-            # exchange d^b1 past x^a2
-            hot = [i for i in range(n) if b1[i] and a2[i]]
-            ranges = [range(min(b1[i], a2[i]) + 1) for i in hot]
-            for ks in _iproduct(*ranges):
-                coef = base
-                k = [0] * n
-                for i, ki in zip(hot, ks):
-                    if ki:
-                        coef *= comb(b1[i], ki) * _falling(a2[i], ki)
-                        k[i] = ki
+            # exchange d^b1 past x^a2: k_i of the d_i act on x_i^(a2_i)
+            ranges = [range(min(x, y) + 1) for x, y in zip(b1, a2)]
+            for k in _iproduct(*ranges):
+                coef = c1 * c2
+                for i, ki in enumerate(k):
+                    coef *= comb(b1[i], ki) * perm(a2[i], ki)
                 xe = tuple(a1[i] + a2[i] - k[i] for i in range(n))
                 de = tuple(b1[i] + b2[i] - k[i] for i in range(n))
                 key = (xe, de)
-                acc = out.get(key)
-                if acc is None:
-                    out[key] = coef
-                else:
-                    acc = acc + coef
-                    if acc == 0:
-                        del out[key]
-                    else:
-                        out[key] = acc
-    return WeylOp(n, out)
+                out[key] = out.get(key, 0) + coef
+    return WeylOp(n, _nonzero(out))
 
 
 def weyl_apply(a: WeylOp, p: MultiPoly) -> MultiPoly:
     """Apply the operator to a polynomial, exactly, one monomial at a time,
     on guarded packed keys (module docstring)."""
-    if a.arity != p.arity:
-        raise ValueError(f"arity mismatch: {a.arity} != {p.arity}")
+    a._check(p)
     n = a.arity
     betas = [beta for _, beta in a.terms]
     bits, (keys, highs, lows), unpack = _packing(
@@ -174,12 +153,8 @@ def weyl_apply(a: WeylOp, p: MultiPoly) -> MultiPoly:
             if acc is None:
                 out[key] = coef
             else:
-                acc = acc + coef
-                if acc == 0:
-                    del out[key]
-                else:
-                    out[key] = acc
-    return MultiPoly(n, dict(zip(unpack(out), out.values())))
+                out[key] = acc + coef
+    return MultiPoly(n, _nonzero(dict(zip(unpack(out), out.values()))))
 
 
 def commutator(a: WeylOp, b: WeylOp) -> WeylOp:

@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from capelli.catalog import (CASES, DEFAULT_VERIFY_SIZES, MIN_VERIFY_SIZES, case_spec, catalog_json, instantiate,
-                             list_cases)
+from capelli.catalog import (CASES, DEFAULT_VERIFY_SIZES, MIN_VERIFY_SIZES, _det, case_spec, catalog_json,
+                             instantiate, list_cases)
 from capelli.poly import MultiPoly, UniPoly
 from capelli.weyl import weyl_apply
 
@@ -47,6 +47,13 @@ def test_disputed_row_rules():
     six = case_spec(6)
     assert six.expected_b(8) == UniPoly.from_offsets("s", [2, 4])
     assert six.catalog_b(8) == UniPoly.from_offsets("s", [1, 4])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_determinant_with_equal_rows_stores_no_term(n):
+    # rows 0 and 1 alike: the permutations cancel in pairs, term by term
+    got = _det(lambda i, j: (max(i - 1, 0) * n + j, 1), n, n * n)
+    assert got == MultiPoly.zero(n * n) and got.terms == {}
 
 
 class TestInstantiate:

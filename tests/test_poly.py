@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from capelli.poly import MultiPoly, UniPoly, power, rational_roots
+from capelli.weyl import WeylOp
 
 
 def x(i, arity=2):
@@ -165,6 +166,94 @@ class TestDivideExact:
             assert (a * b).divide_exact(b) == a
 
         roundtrip()
+
+    @pytest.mark.parametrize("arity", [0, 1, 3])
+    def test_zero_dividend(self, arity):
+        q = MultiPoly.one(arity) if arity == 0 else MultiPoly.variable(arity, 0) + 1
+        got = MultiPoly.zero(arity).divide_exact(q)
+        assert got == MultiPoly.zero(arity) and got.arity == arity
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_geometric_sum(self, n):
+        # x^n - y^n = (x - y)(x^(n-1) + x^(n-2) y + ... + y^(n-1)); y^n cancels last
+        got = (x(0) ** n - x(1) ** n).divide_exact(x(0) - x(1))
+        assert got == MultiPoly(2, {(n - 1 - i, i): 1 for i in range(n)})
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_fails_after_cancelling_rounds(self, n):
+        # the division runs n rounds, cancels y^n, and only then meets the 1
+        assert (x(0) ** n - x(1) ** n + 1).divide_exact(x(0) - x(1)) is None
+        # a cancelled key that x's lead divides is skipped, not taken as a quotient term
+        p = (x(0) ** n - x(1) ** n) * (x(0) + x(1))
+        assert p.divide_exact(x(0) - x(1)) == (x(0) + x(1)) * sum(
+            (x(0) ** (n - 1 - i) * x(1) ** i for i in range(n)), MultiPoly.zero(2))
+
+
+def assert_no_zero_stored(p):
+    assert all(c != 0 for c in p.terms.values()), p.terms
+
+
+class TestNoZeroStored:
+    """No sparse result stores a zero coefficient, on inputs built to cancel."""
+
+    def test_difference_of_squares_with_shared_monomials(self):
+        a = x(0) * x(1) + x(0)
+        b = x(0) * x(1) - x(1)
+        got = (a + b) * (a - b)
+        assert got == a * a - b * b
+        assert_no_zero_stored(got)
+        assert_no_zero_stored(a - a)
+        assert (a - a).terms == {}
+
+    def test_substitute_last_cancels(self):
+        # (x1 + 1)(x2 - 3) at x2 = 3 is zero term by term
+        p = (x(0) + 1) * (x(1) - 3) + x(0) * x(1) - 3 * x(0)
+        got = p.substitute_last(3)
+        assert got == MultiPoly.zero(1) and got.terms == {}
+
+    def test_sums_products_and_quotients_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        coefs = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)).filter(bool)
+        # few monomials, so that the operands share many of them
+        exps = st.tuples(*[st.integers(0, 2)] * 2)
+        polys = st.dictionaries(exps, coefs, max_size=5).map(lambda t: MultiPoly(2, t))
+
+        @hypothesis.settings(max_examples=200)
+        @hypothesis.given(polys, polys, st.integers(-2, 2))
+        def no_zero(a, b, v):
+            root = x(1) - v
+            values = [a + b, a - b, b - a, a + (-a), (a + b) * (a - b), a * a - b * b,
+                      (a * root + b).substitute_last(v), (a + b).substitute_last(v)]
+            if not b.is_zero():
+                values.append(((a + b) * (a - b) * b).divide_exact(b))
+                values.append((a * b - b * a + b * b).divide_exact(b))
+            for value in values:
+                assert_no_zero_stored(value)
+            assert values[4] == values[5]
+            assert values[6] == b.substitute_last(v)
+
+        no_zero()
+
+
+class TestExactScalars:
+    # a scalar is an int or a Fraction; anything else raises instead of
+    # being stored as a coefficient
+    @pytest.mark.parametrize("combine", [
+        pytest.param(lambda: MultiPoly.one(2) * 1.5, id="poly-times-float"),
+        pytest.param(lambda: 1.5 * MultiPoly.one(2), id="float-times-poly"),
+        pytest.param(lambda: MultiPoly.one(2) + 0.5, id="poly-plus-float"),
+        pytest.param(lambda: MultiPoly.constant(2, 0.0), id="float-zero-constant"),
+        pytest.param(lambda: MultiPoly.one(2) + UniPoly.variable("s"), id="poly-plus-unipoly"),
+        pytest.param(lambda: UniPoly.variable("s") + MultiPoly.one(2), id="unipoly-plus-poly"),
+        pytest.param(lambda: WeylOp.euler(2) * UniPoly.variable("s"), id="op-times-unipoly"),
+        pytest.param(lambda: UniPoly.variable("s") * MultiPoly.one(2), id="unipoly-times-poly"),
+        pytest.param(lambda: UniPoly.variable("s") * 0.5, id="unipoly-times-float"),
+        pytest.param(lambda: UniPoly.constant("s", 2.0), id="float-unipoly-constant"),
+    ])
+    def test_inexact_or_foreign_scalar_raises(self, combine):
+        with pytest.raises(TypeError):
+            combine()
 
 
 class TestUniPoly:

@@ -172,6 +172,60 @@ class TestPackedApply:
         acts()
 
 
+def assert_no_zero_stored(value):
+    assert all(c != 0 for c in value.terms.values()), value.terms
+
+
+class TestNoZeroStored:
+    """weyl_mul and weyl_apply store no zero coefficient, on inputs built to cancel."""
+
+    def test_rotation_kills_the_invariant(self):
+        # x1 d2 - x2 d1 sends x1^2 + x2^2 to 2 x1 x2 - 2 x1 x2
+        rot = WeylOp(2, {((1, 0), (0, 1)): 1, ((0, 1), (1, 0)): -1})
+        r2 = MultiPoly(2, {(2, 0): 1, (0, 2): 1})
+        for k in range(1, 4):
+            got = weyl_apply(rot, r2 ** k)
+            assert got.terms == {}
+
+    def test_commuting_operators(self):
+        # x1 d1 and x2 d2 commute: the two products cancel term by term
+        a = WeylOp(2, {((1, 0), (1, 0)): 1})
+        b = WeylOp(2, {((0, 1), (0, 1)): 1})
+        assert (weyl_mul(a, b) - weyl_mul(b, a)).terms == {}
+        # (d1 + x1)(d1 - x1) = d1^2 - 1 - x1^2: -d1 x1 and x1 d1 leave
+        # -x1 d1 and +x1 d1, which cancel inside weyl_mul
+        d1 = WeylOp.partial(2, 0)
+        x1 = WeylOp.from_poly(MultiPoly.variable(2, 0))
+        got = weyl_mul(d1 + x1, d1 - x1)
+        assert got == weyl_mul(d1, d1) - 1 - weyl_mul(x1, x1)
+        assert_no_zero_stored(got)
+
+    def test_products_and_applications_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        exps = st.tuples(*[st.integers(0, 2)] * 2)
+        coefs = st.integers(-3, 3).filter(bool)
+        ops = st.dictionaries(st.tuples(exps, exps), coefs, max_size=4).map(
+            lambda terms: WeylOp(2, terms))
+        polys = st.dictionaries(exps, coefs, max_size=5).map(
+            lambda terms: MultiPoly(2, terms))
+        rot = WeylOp(2, {((1, 0), (0, 1)): 1, ((0, 1), (1, 0)): -1})
+        r2 = MultiPoly(2, {(2, 0): 1, (0, 2): 1})
+
+        @hypothesis.settings(max_examples=150)
+        @hypothesis.given(ops, ops, polys)
+        def no_zero(a, b, p):
+            values = [weyl_mul(a, b), weyl_mul(a, b) - weyl_mul(b, a), commutator(a, b),
+                      weyl_mul(a + b, a - b), a + b, a - a,
+                      weyl_apply(a, p), weyl_apply(a - b, p), weyl_apply(commutator(a, b), p),
+                      weyl_apply(rot, r2 * p), weyl_apply(a + rot, r2)]
+            for value in values:
+                assert_no_zero_stored(value)
+            assert values[9] == r2 * weyl_apply(rot, p)
+
+        no_zero()
+
+
 class TestCatalogCommutators:
     @pytest.mark.parametrize("case_id,size", [(1, 2), (2, 2), (3, 4), (4, 2), (5, 2)])
     def test_relations(self, case_id, size):
