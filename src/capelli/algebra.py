@@ -26,14 +26,16 @@ key k = k1 + k2 with polynomial
 where low = min(k, 0), s1 = min(k1, 0) + k2 - low, s2 = min(k2, 0) - low,
 and t runs over |k| <= t < |k| + min(-k1, k2) when k1 < 0 <= k2 (Delta^b f^a
 contracts), over -min(k1, -k2) <= t <= -1 when k2 < 0 <= k1 (f^a Delta^b
-contracts), and over nothing otherwise.  The confluence fuzzer checks that
-no rewriting order disagrees.
+contracts), and over nothing otherwise.  Each factor B(theta + t*d) is
+shifted once per t and kept on the presentation (APresentation.B_shift),
+so the memo holds one degree-d polynomial per distinct t met.  The
+confluence fuzzer checks that no rewriting order disagrees.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 
@@ -48,10 +50,16 @@ FUZZ_MAX_LEN = 8      # longest random word confluence_fuzz draws
 
 @dataclass(frozen=True)
 class APresentation:
-    """Degree d and the contraction polynomial B(theta); B(d*s) = c * b_monic(s)."""
+    """Degree d and the contraction polynomial B(theta); B(d*s) = c * b_monic(s).
+
+    B_shift keeps each B(theta + t*d) once shifted, keyed on t, in a field
+    that equality, hashing and repr ignore: two presentations with equal
+    (d, B) stay equal, and each fills only its own memo.
+    """
 
     d: int
     B: UniPoly
+    _B_shifts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def from_b(cls, d: int, c, b_monic: UniPoly):
@@ -82,6 +90,13 @@ class APresentation:
     def b_monic(self) -> UniPoly:
         """The monic b(s) = B(d*s) / c."""
         return (self.B.scale_arg(self.d) * (1 / self.c)).with_symbol("s")
+
+    def B_shift(self, t: int) -> UniPoly:
+        """B(theta + t*d), shifted once per t and kept on this presentation."""
+        p = self._B_shifts.get(t)
+        if p is None:
+            p = self._B_shifts[t] = self.B.shift(t * self.d)
+        return p
 
     def edge_scalar(self, s_value) -> Fraction:
         """c * b(s_value): the Delta-edge scalar of ladder modules."""
@@ -175,7 +190,7 @@ def a_sub(x: AElement, y: AElement) -> AElement:
 
 def _basis_mul(pres: APresentation, k1: int, p1: UniPoly, k2: int, p2: UniPoly):
     """Product of two basis words by the closed-form rule; returns (key, theta-polynomial)."""
-    d, B = pres.d, pres.B
+    d = pres.d
     k = k1 + k2
     low = min(k, 0)
     steps = ()
@@ -185,7 +200,7 @@ def _basis_mul(pres: APresentation, k1: int, p1: UniPoly, k2: int, p2: UniPoly):
         steps = range(-min(k1, -k2), 0)
     p = p1.shift((min(k1, 0) + k2 - low) * d)
     for t in steps:
-        p = p * B.shift(t * d)
+        p = p * pres.B_shift(t)
     return k, p * p2.shift((min(k2, 0) - low) * d)
 
 

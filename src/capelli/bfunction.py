@@ -28,7 +28,8 @@ from typing import Optional
 
 from .algebra import APresentation
 from .catalog import CaseInstance, case_spec, instantiate
-from .poly import MultiPoly, UniPoly, as_fraction, format_rational, rational_roots
+from .poly import (MultiPoly, UniPoly, as_fraction, format_rational, ratio,
+                   rational_roots)
 from .weyl import (NotProportional, f_power_element, twisted_apply,
                    twisted_scalar_profile, weyl_apply)
 
@@ -88,8 +89,9 @@ def delta_scalar(inst: CaseInstance, exponent) -> Fraction:
     """The scalar rho with Delta(f^e) = rho * f^(e-1), by differentiation.
 
     Nonnegative integer exponents differentiate the plain polynomial f^e
-    and divide back by f^(e-1); everything else evaluates the symbolic
-    profile of Delta.  Neither path reads b.
+    and compare the image with rho * f^(e-1), rho read off one monomial;
+    everything else evaluates the symbolic profile of Delta.  Neither path
+    reads b.
     """
     e = as_fraction(exponent)
     if e.denominator != 1 or e < 0:
@@ -107,10 +109,13 @@ def _plain_delta_scalar(inst: CaseInstance, k: int) -> Fraction:
         return Fraction(0)
     if k == 0:
         raise NotProportional("Delta does not annihilate constants")
-    quot = image.divide_exact(f_power(inst, k - 1))
-    if quot is None or quot.total_degree() > 0:
+    base = f_power(inst, k - 1)
+    # the only candidate scalar is the ratio at any one monomial of f^(k-1)
+    e, c = next(iter(base.terms.items()))
+    rho = ratio(image.terms.get(e, 0), c)
+    if image != base * rho:
         raise NotProportional(f"Delta(f^{k}) is not a scalar multiple of f^{k - 1}")
-    return as_fraction(quot.constant_term())
+    return as_fraction(rho)
 
 
 @dataclass(frozen=True)

@@ -261,9 +261,6 @@ class MultiPoly(TermMap):
             return -1
         return max(sum(e) for e in self.terms)
 
-    def constant_term(self):
-        return self.terms.get(self.unit_key(self.arity), 0)
-
     def sorted_terms(self):
         """Terms in descending graded-lex order."""
         return sorted(self.terms.items(), key=lambda kv: _grlex(kv[0]), reverse=True)
@@ -491,17 +488,27 @@ class UniPoly:
         return total
 
     def shift(self, sigma):
-        """Return t |-> p(t + sigma), exactly (Horner in t + sigma)."""
+        """Return t |-> p(t + sigma), exactly.
+
+        The classical Taylor shift, in place on a copy of the coefficient
+        list (von zur Gathen and Gerhard, ISSAC 1997): pass i folds
+        sigma times each coefficient above i into the one below it, from
+        the top down, n(n-1)/2 multiply-adds in all, and one UniPoly is
+        built at the end.
+        """
+        _check_scalar(sigma, UniPoly)
         if sigma == 0:
             return self         # immutable, so the identity shift shares it
-        out = UniPoly.zero(self.symbol)
-        lin = UniPoly(self.symbol, (sigma, 1))
-        for c in reversed(self.coeffs):
-            out = out * lin + c
-        return out
+        a = list(self.coeffs)
+        n = len(a)
+        for i in range(n - 1):
+            for j in range(n - 2, i - 1, -1):
+                a[j] = a[j] + sigma * a[j + 1]
+        return UniPoly(self.symbol, a)
 
     def scale_arg(self, a):
         """Return t |-> p(a*t)."""
+        _check_scalar(a, UniPoly)
         out = []
         power = 1
         for c in self.coeffs:

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from capelli.algebra import (DELTA, F, THETA, AElement, APresentation, a_add, a_mul,
-                             a_neg, a_pow, a_sub, confluence_exhaustive,
+from capelli.algebra import (DELTA, F, GENERATORS, THETA, AElement, APresentation,
+                             a_add, a_mul, a_neg, a_pow, a_sub, confluence_exhaustive,
                              confluence_fuzz, from_word, graded_components)
 from capelli.bfunction import presentation_for
 from capelli.catalog import instantiate
@@ -50,6 +50,63 @@ class TestPresentation:
         rebuilt = APresentation(d=pres4.d, B=pres4.B)
         assert rebuilt.b_monic == pres4.b_monic
         assert rebuilt.c == pres4.c
+
+    def test_memo_keeps_equality_and_hash(self, pres4):
+        filled = APresentation(d=pres4.d, B=pres4.B)
+        fresh = APresentation(d=pres4.d, B=pres4.B)
+        from_word(filled, [F, F, DELTA, DELTA, F])
+        assert filled.B_shift(-1) == pres4.B.shift(-pres4.d)
+        assert filled == fresh and hash(filled) == hash(fresh)
+        assert repr(filled) == repr(fresh)
+
+    def test_memo_is_per_presentation(self, pres4, pres1):
+        # same d, different B: each presentation shifts its own B
+        assert pres4.d == pres1.d and pres4.B != pres1.B
+        a = APresentation(d=pres4.d, B=pres4.B)
+        b = APresentation(d=pres1.d, B=pres1.B)
+        for t in (-2, -1, 1, 2):
+            assert a.B_shift(t) == pres4.B.shift(t * pres4.d)
+            assert b.B_shift(t) == pres1.B.shift(t * pres1.d)
+
+
+def _reference_mul(x, y):
+    """a_mul by the closed-form rule, each B(theta + t*d) shifted afresh."""
+    pres = x.pres
+    d, B = pres.d, pres.B
+    out = AElement.zero(pres)
+    for k1, p1 in x.parts.items():
+        for k2, p2 in y.parts.items():
+            k = k1 + k2
+            low = min(k, 0)
+            steps = ()
+            if k1 < 0 <= k2:
+                steps = range(abs(k), abs(k) + min(-k1, k2))
+            elif k2 < 0 <= k1:
+                steps = range(-min(k1, -k2), 0)
+            p = p1.shift((min(k1, 0) + k2 - low) * d)
+            for t in steps:
+                p = p * B.shift(t * d)
+            p = p * p2.shift((min(k2, 0) - low) * d)
+            out = a_add(out, AElement(pres, {k: p}))
+    return out
+
+
+@pytest.mark.parametrize("key", [(1, 2), (4, 3), (2, 4)], ids=lambda k: "case%d-size%d" % k)
+def test_words_match_fresh_shifts(key):
+    # the normal forms u, v of every two generator words with |u| + |v| <= 5:
+    # a_mul, on a presentation whose memo starts empty, equals the reference
+    built = presentation_for(instantiate(*key))
+    pres = APresentation(d=built.d, B=built.B)
+    nf = {(): AElement.scalar(pres, 1)}
+    layer = [()]
+    for _ in range(5):
+        layer = [w + (g,) for w in layer for g in GENERATORS]
+        for w in layer:
+            nf[w] = _reference_mul(nf[w[:-1]], AElement.generator(pres, w[-1]))
+    for u, x in nf.items():
+        for v, y in nf.items():
+            if len(u) + len(v) <= 5:
+                assert a_mul(x, y) == _reference_mul(x, y), (u, v)
 
 
 class TestFromWord:

@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 from capelli import bfunction
-from capelli.bfunction import (VERDICT_DISPUTED, VERDICT_MATCH, compute_b, factored,
-                               presentation_for, verify_annihilation)
+from capelli.bfunction import (VERDICT_DISPUTED, VERDICT_MATCH, compute_b,
+                               delta_scalar, factored, presentation_for,
+                               verify_annihilation)
 from capelli.catalog import DEFAULT_VERIFY_SIZES, instantiate
 from capelli.poly import UniPoly, rational_roots
 from capelli.weyl import weyl_apply
@@ -153,6 +154,34 @@ class TestNotProportional:
         wrong = self._bad_instance().delta
         with pytest.raises(NotProportional):
             compute_b(dataclasses.replace(inst, delta=wrong))
+
+    def test_plain_delta_scalar_rejects_wrong_dual(self):
+        # Delta = d^2/dx11^2 takes f^2 to 2*x22^2, which is zero at every
+        # monomial of f
+        from capelli.weyl import NotProportional
+
+        with pytest.raises(NotProportional):
+            delta_scalar(self._bad_instance(), 2)
+
+    @pytest.mark.parametrize("exps, coeffs", [
+        # 6*x11*x22: nonzero, but zero at the monomial x12*x21 of f
+        pytest.param([(1, 0, 0, 1), (0, 1, 1, 0)], [2, 1], id="zero-at-one-monomial"),
+        # 4*x11*x22 - 2*x12*x21: nonzero at every monomial of f, ratios 4 and 2
+        pytest.param([(1, 0, 0, 1)], [1], id="two-ratios"),
+    ])
+    def test_plain_delta_scalar_needs_one_ratio(self, exps, coeffs):
+        from capelli.catalog import CaseInstance
+        from capelli.poly import MultiPoly
+        from capelli.weyl import NotProportional, WeylOp
+
+        inst = instantiate(4, 2)
+        symbol = MultiPoly(4, dict(zip(exps, coeffs)))
+        delta = WeylOp.const_coeff_from_poly(symbol)
+        assert not weyl_apply(delta, inst.f ** 2).is_zero()
+        wrong = CaseInstance(case_id=4, size=2, variables=inst.variables, f=inst.f,
+                             delta=delta, theta=inst.theta, d=2)
+        with pytest.raises(NotProportional):
+            delta_scalar(wrong, 2)
 
     def test_psi_rejects_wrong_dual(self):
         from capelli.modules import psi_of_ladder

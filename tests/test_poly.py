@@ -250,6 +250,11 @@ class TestExactScalars:
         pytest.param(lambda: UniPoly.variable("s") * MultiPoly.one(2), id="unipoly-times-poly"),
         pytest.param(lambda: UniPoly.variable("s") * 0.5, id="unipoly-times-float"),
         pytest.param(lambda: UniPoly.constant("s", 2.0), id="float-unipoly-constant"),
+        pytest.param(lambda: UniPoly("s", (1, 2, 3)).shift(0.5), id="unipoly-shift-float"),
+        pytest.param(lambda: UniPoly("s", (1, 2, 3)).shift(0.0), id="unipoly-shift-float-zero"),
+        pytest.param(lambda: UniPoly("s", (1, 2, 3)).scale_arg(0.5), id="unipoly-scale-float"),
+        pytest.param(lambda: UniPoly("s", (1, 2, 3)).scale_arg(UniPoly.variable("s")),
+                     id="unipoly-scale-by-unipoly"),
     ])
     def test_inexact_or_foreign_scalar_raises(self, combine):
         with pytest.raises(TypeError):
@@ -273,6 +278,25 @@ class TestUniPoly:
                               for _ in range(rng.randint(0, 6))])
             a = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
             assert p.shift(a).shift(-a) == p
+
+    def test_shift_matches_expanded_powers(self):
+        # p(t + sigma) = sum_k c_k (t + sigma)^k, expanded with UniPoly * and +
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        rationals = st.one_of(st.integers(-9, 9),
+                              st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5)))
+        polys = st.lists(rationals, max_size=9).map(lambda cs: UniPoly("s", cs))
+
+        @hypothesis.settings(max_examples=300)
+        @hypothesis.given(polys, rationals)
+        def taylor(p, sigma):
+            lin = UniPoly("s", (sigma, 1))
+            expected = UniPoly.zero("s")
+            for k, c in enumerate(p.coeffs):
+                expected = expected + lin ** k * c
+            assert p.shift(sigma) == expected
+
+        taylor()
 
     def test_shift_of_contraction_polynomial(self):
         # B(t) = (t/2 + 1)(t/2 + 2); shifted by -2 it vanishes at t = 0
