@@ -109,11 +109,13 @@ def _plain_delta_scalar(inst: CaseInstance, k: int) -> Fraction:
         return Fraction(0)
     if k == 0:
         raise NotProportional("Delta does not annihilate constants")
-    base = f_power(inst, k - 1)
-    # the only candidate scalar is the ratio at any one monomial of f^(k-1)
-    e, c = next(iter(base.terms.items()))
-    rho = ratio(image.terms.get(e, 0), c)
-    if image != base * rho:
+    base, got = f_power(inst, k - 1).terms, image.terms
+    # the only candidate scalar is the ratio at any one monomial of f^(k-1);
+    # neither map stores a zero, so equal key counts and equal terms on the
+    # keys of f^(k-1) mean image == rho * f^(k-1), with no product built
+    e, c = next(iter(base.items()))
+    rho = ratio(got.get(e, 0), c)
+    if len(got) != len(base) or any(got.get(e) != rho * c for e, c in base.items()):
         raise NotProportional(f"Delta(f^{k}) is not a scalar multiple of f^{k - 1}")
     return as_fraction(rho)
 

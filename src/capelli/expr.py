@@ -9,7 +9,8 @@ Grammar (whitespace insensitive, left associative):
 
 Rationals are nonnegative 'p/q' or integer literals; exponents are
 nonnegative integer literals; parentheses nest at most MAX_NESTING deep.
-fmt_expr is a strict inverse of parse_expr on syntax trees.
+fmt_expr is a strict inverse of parse_expr on the trees the grammar can
+produce, and raises ValueError on a negative literal, which it cannot.
 """
 
 from __future__ import annotations
@@ -205,6 +206,8 @@ def _fmt(node, parent_level: int) -> str:
     if isinstance(node, Sym):
         return node.name
     if isinstance(node, RatLit):
+        if node.value < 0:
+            raise ValueError(f"negative literal {node.value}: the grammar has no unary minus")
         return str(node.value)
     if isinstance(node, Pow):
         # the grammar only allows atoms as bases
@@ -236,7 +239,12 @@ def _fmt(node, parent_level: int) -> str:
 
 
 def fmt_expr(node) -> str:
-    """Render a tree back to source; parse_expr(fmt_expr(e)) == e."""
+    """Render a tree back to source; parse_expr(fmt_expr(e)) == e.
+
+    A negative RatLit raises ValueError: no source text parses to one (the
+    grammar has no unary minus), and neither parse_expr nor element_to_expr
+    builds one.
+    """
     return _fmt(node, 0)
 
 

@@ -21,6 +21,16 @@ int add.  Packing is exact only while no field carries into or borrows
 from its neighbour, so each call chooses the field width from its
 operands' largest exponents; keys are packed on entry and unpacked on
 exit, and .terms stays tuple-keyed.
+
+The theta-polynomial kernels, UniPoly.__mul__ and UniPoly.shift by an
+integer, run on integer numerators over one common denominator, the
+layout of FLINT's fmpq_poly: each operand is scaled to integers over the
+lcm of its denominators (_numerators), the loop runs in plain ints, and
+each output coefficient is built once over the product of the
+denominators (_rationals), so a product pays one gcd per coefficient,
+not one per multiply-add.  An integral coefficient comes back as an int,
+even where the operands held Fraction(4); values, equality and hashes
+are unchanged, since Fraction(4) == 4 and hash(Fraction(4)) == hash(4).
 """
 
 from __future__ import annotations
@@ -29,8 +39,8 @@ import heapq
 from fractions import Fraction
 from functools import reduce
 from itertools import repeat
-from math import gcd
-from operator import add as _add, mul as _mul, neg as _neg, or_, sub as _sub
+from math import lcm
+from operator import add as _add, attrgetter, floordiv, mul as _mul, neg as _neg, or_, sub as _sub
 
 
 def ratio(a, b):
@@ -63,6 +73,26 @@ def _nonzero(terms):
     for k in [k for k, c in terms.items() if c == 0]:
         del terms[k]
     return terms
+
+
+_numerator = attrgetter("numerator")
+_denominator = attrgetter("denominator")
+
+
+def _numerators(coeffs):
+    """(numerators, den) with coeffs[i] == numerators[i] / den, den the lcm of the denominators."""
+    dens = list(map(_denominator, coeffs))
+    den = lcm(*dens)
+    if den == 1:
+        return list(map(_numerator, coeffs)), 1
+    return list(map(_mul, map(_numerator, coeffs), map(floordiv, repeat(den), dens))), den
+
+
+def _rationals(numerators, den):
+    """The coefficients numerators[i] / den: an int where integral, else one Fraction."""
+    if den == 1:
+        return numerators
+    return [n // den if n % den == 0 else Fraction(n, den) for n in numerators]
 
 
 def _packing(groups, arity, need):
@@ -462,19 +492,26 @@ class UniPoly:
         return (-self) + other
 
     def __mul__(self, other):
+        """Product by a scalar, or by a UniPoly on integer numerators.
+
+        A UniPoly product convolves the operands' numerators over their
+        common denominators in plain ints and divides once per output
+        coefficient; an integral coefficient comes back as an int.
+        """
         if not isinstance(other, UniPoly):
             _check_scalar(other, UniPoly)
             return UniPoly(self.symbol, tuple(c * other for c in self.coeffs))
         self._check(other)
         if self.is_zero() or other.is_zero():
             return UniPoly(self.symbol)
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return UniPoly(self.symbol, out)
+        a, da = _numerators(self.coeffs)
+        b, db = _numerators(other.coeffs)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        return UniPoly(self.symbol, _rationals(out, da * db))
 
     __rmul__ = __mul__
 
@@ -494,17 +531,24 @@ class UniPoly:
         list (von zur Gathen and Gerhard, ISSAC 1997): pass i folds
         sigma times each coefficient above i into the one below it, from
         the top down, n(n-1)/2 multiply-adds in all, and one UniPoly is
-        built at the end.
+        built at the end.  For an integer sigma the list holds the integer
+        numerators over the common denominator, so the multiply-adds are
+        int operations and an integral result coefficient is an int; any
+        other sigma shifts the coefficients themselves.
         """
         _check_scalar(sigma, UniPoly)
         if sigma == 0:
             return self         # immutable, so the identity shift shares it
-        a = list(self.coeffs)
+        if sigma.denominator == 1:
+            a, den = _numerators(self.coeffs)
+            sigma = sigma.numerator
+        else:
+            a, den = list(self.coeffs), 1
         n = len(a)
         for i in range(n - 1):
             for j in range(n - 2, i - 1, -1):
-                a[j] = a[j] + sigma * a[j + 1]
-        return UniPoly(self.symbol, a)
+                a[j] += sigma * a[j + 1]
+        return UniPoly(self.symbol, _rationals(a, den))
 
     def scale_arg(self, a):
         """Return t |-> p(a*t)."""
@@ -574,12 +618,7 @@ def rational_roots(p: UniPoly):
         work.pop(0)
     if len(work) <= 1:
         return sorted(roots)
-    # clear denominators
-    denom_lcm = 1
-    for c in work:
-        d = as_fraction(c).denominator
-        denom_lcm = denom_lcm * d // gcd(denom_lcm, d)
-    ints = [int(as_fraction(c) * denom_lcm) for c in work]
+    ints, _ = _numerators(work)         # clear denominators
     a0, an = ints[0], ints[-1]
     candidates = set()
     for num in _divisors(a0):

@@ -59,6 +59,18 @@ class TestPresentation:
         assert filled == fresh and hash(filled) == hash(fresh)
         assert repr(filled) == repr(fresh)
 
+    def test_integral_fraction_coefficients_equal_ints(self, pres1):
+        # B = (theta + 2)^2 of (1,2), stored with Fraction or with int coefficients
+        as_fractions = UniPoly(THETA, (Fraction(4), Fraction(4), Fraction(1)))
+        as_ints = UniPoly(THETA, (4, 4, 1))
+        assert as_fractions == as_ints == pres1.B
+        assert hash(as_fractions) == hash(as_ints)
+        a = APresentation(d=2, B=as_fractions)
+        b = APresentation(d=2, B=as_ints)
+        assert a == b and hash(a) == hash(b)
+        word = [DELTA, F, F, THETA, DELTA]
+        assert from_word(a, word).parts == from_word(b, word).parts
+
     def test_memo_is_per_presentation(self, pres4, pres1):
         # same d, different B: each presentation shifts its own B
         assert pres4.d == pres1.d and pres4.B != pres1.B

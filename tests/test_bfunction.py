@@ -168,6 +168,9 @@ class TestNotProportional:
         pytest.param([(1, 0, 0, 1), (0, 1, 1, 0)], [2, 1], id="zero-at-one-monomial"),
         # 4*x11*x22 - 2*x12*x21: nonzero at every monomial of f, ratios 4 and 2
         pytest.param([(1, 0, 0, 1)], [1], id="two-ratios"),
+        # 6*f + 2*x22^2: ratio 6 at every monomial of f, and one monomial more
+        pytest.param([(1, 0, 0, 1), (0, 1, 1, 0), (2, 0, 0, 0)], [1, -1, 1],
+                     id="extra-monomial"),
     ])
     def test_plain_delta_scalar_needs_one_ratio(self, exps, coeffs):
         from capelli.catalog import CaseInstance

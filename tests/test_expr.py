@@ -127,6 +127,146 @@ class TestRoundTrip:
             assert parse_expr(fmt_expr(tree)) == tree
 
 
+def same_tree(a, b):
+    """a == b on syntax trees by an explicit stack (dataclass == recurses once per level)."""
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if type(x) is not type(y):
+            return False
+        if isinstance(x, BinOp):
+            if x.op != y.op:
+                return False
+            stack += [(x.left, y.left), (x.right, y.right)]
+        elif isinstance(x, Pow):
+            if x.exponent != y.exponent:
+                return False
+            stack.append((x.base, y.base))
+        elif x != y:
+            return False
+    return True
+
+
+def nesting(text):
+    depth = deepest = 0
+    for ch in text:
+        depth += (ch == "(") - (ch == ")")
+        deepest = max(deepest, depth)
+    return deepest
+
+
+def _wrap_once(kind, inner, x, y, k):
+    """inner one parenthesis level deeper, as fmt_expr prints it.
+
+    inner is the left operand of a '+' or '-', where no node is wrapped;
+    that sum is then a power's base or the operand of a tighter binding.
+    """
+    op = "+-"[k % 2]
+    if kind == "pow":
+        return Pow(BinOp(op, inner, x), k % 6)
+    if kind == "mul-right":
+        return BinOp("*", y, BinOp(op, inner, x))
+    if kind == "sub-right":
+        return BinOp("-", y, BinOp(op, inner, x))
+    return BinOp("*", BinOp(op, inner, x), y)
+
+
+class TestRoundTripProperty:
+    """parse_expr(fmt_expr(t)) == t on trees the grammar can produce.
+
+    Sym, nonnegative RatLit and Pow with exponent 0-5 make small trees of
+    any shape; these are the operands of left-deep '+'/'-'/'*' chains of
+    1,000 to 1,500 operators, and of parenthesis nesting up to MAX_NESTING.
+    """
+
+    @staticmethod
+    def strategies():
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        atoms = st.one_of(
+            st.sampled_from(["f", "theta", "delta"]).map(Sym),
+            st.builds(Fraction, st.integers(0, 10 ** 6), st.integers(1, 10 ** 6)).map(RatLit))
+        small = st.recursive(atoms, lambda t: st.one_of(
+            st.builds(BinOp, st.sampled_from("+-*"), t, t),
+            st.builds(Pow, t, st.integers(0, 5))), max_leaves=12)
+        return hypothesis, st, atoms, small
+
+    def test_small_trees(self):
+        hypothesis, _, _, small = self.strategies()
+
+        @hypothesis.settings(max_examples=300)
+        @hypothesis.given(small)
+        def round_trip(tree):
+            assert parse_expr(fmt_expr(tree)) == tree
+
+        round_trip()
+
+    def test_long_left_deep_chains(self):
+        hypothesis, st, _, small = self.strategies()
+
+        @st.composite
+        def chains(draw):
+            # runs of one operator each, so that only a switch from a sum to
+            # a product adds a parenthesis
+            runs = draw(st.lists(st.tuples(st.sampled_from("+-*"), st.integers(1, 300)),
+                                 min_size=1, max_size=12))
+            operands = draw(st.lists(small, min_size=1, max_size=8))
+            short = 1000 - sum(n for _, n in runs)
+            if short > 0:
+                runs[-1] = (runs[-1][0], runs[-1][1] + short)
+            node, i = operands[0], 1
+            for op, n in runs:
+                for _ in range(n):
+                    node = BinOp(op, node, operands[i % len(operands)])
+                    i += 1
+            return node
+
+        @hypothesis.settings(max_examples=40)
+        @hypothesis.given(chains())
+        def round_trip(tree):
+            text = fmt_expr(tree)
+            assert nesting(text) <= MAX_NESTING
+            assert same_tree(parse_expr(text), tree)
+
+        round_trip()
+
+    def test_nesting_up_to_the_limit(self):
+        hypothesis, st, atoms, _ = self.strategies()
+        kinds = st.sampled_from(["pow", "mul-right", "sub-right", "mul-left"])
+
+        @st.composite
+        def nested(draw):
+            depth = draw(st.one_of(st.just(MAX_NESTING), st.integers(0, MAX_NESTING)))
+            layers = draw(st.lists(st.tuples(kinds, atoms, atoms, st.integers(0, 11)),
+                                   min_size=1, max_size=8))
+            node = draw(atoms)
+            for i in range(depth):
+                kind, x, y, k = layers[i % len(layers)]
+                node = _wrap_once(kind, node, x, y, k)
+            return depth, node
+
+        @hypothesis.settings(max_examples=60)
+        @hypothesis.given(nested())
+        def round_trip(case):
+            depth, tree = case
+            text = fmt_expr(tree)
+            assert nesting(text) == depth
+            assert same_tree(parse_expr(text), tree)
+
+        round_trip()
+
+    @pytest.mark.parametrize("tree", [
+        RatLit(Fraction(-1, 2)),
+        RatLit(Fraction(-3)),
+        BinOp("+", Sym("f"), RatLit(Fraction(-3))),
+        Pow(BinOp("*", RatLit(Fraction(-1, 5)), Sym("theta")), 2),
+    ], ids=["half", "integer", "operand", "inside-power"])
+    def test_negative_literal_has_no_source_form(self, tree):
+        # the grammar has no unary minus: printed, "-1/2" would not parse
+        with pytest.raises(ValueError, match="negative literal"):
+            fmt_expr(tree)
+
+
 class TestEval:
     def test_commutator(self, pres):
         tree = parse_expr("theta*f - f*theta")

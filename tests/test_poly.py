@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -317,6 +318,80 @@ class TestUniPoly:
     def test_scale_arg(self):
         p = UniPoly("s", (1, 2, 4))     # 4t^2 + 2t + 1
         assert p.scale_arg(Fraction(1, 2)) == UniPoly("s", (1, 1, 1))
+
+
+def schoolbook_product(a, b):
+    """All-Fraction product of two coefficient lists, low to high."""
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += Fraction(x) * Fraction(y)
+    return out
+
+
+def schoolbook_shift(a, sigma):
+    """All-Fraction coefficients of sum_k a_k (t + sigma)^k, by the binomial theorem."""
+    out = [Fraction(0)] * len(a)
+    for k, c in enumerate(a):
+        for j in range(k + 1):
+            out[j] += Fraction(c) * comb(k, j) * Fraction(sigma) ** (k - j)
+    return out
+
+
+def assert_same_poly(got, want):
+    assert got == want
+    assert not got.coeffs or got.coeffs[-1] != 0
+    assert hash(got) == hash(want)
+
+
+class TestCommonDenominatorKernel:
+    """UniPoly products and Taylor shifts against all-Fraction schoolbook arithmetic.
+
+    The operands mix int and Fraction coefficients, negative values,
+    interior zeros, and denominators that are coprime (3 and 64) or share a
+    factor (6 and 10, whose lcm 30 is not their product 60).
+    """
+
+    @staticmethod
+    def strategies():
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        dens = st.sampled_from([1, 2, 3, 5, 6, 7, 10, 15, 27, 64])
+        fractions = st.builds(Fraction, st.integers(-40, 40), dens)
+        coeffs = st.one_of(st.integers(-20, 20), st.just(0), fractions)
+        polys = st.lists(coeffs, max_size=8).map(lambda cs: UniPoly("theta", cs))
+        return hypothesis, st, fractions, polys
+
+    def test_product_property(self):
+        hypothesis, _, _, polys = self.strategies()
+
+        @hypothesis.settings(max_examples=400)
+        @hypothesis.given(polys, polys)
+        def product(p, q):
+            assert_same_poly(p * q, UniPoly("theta", schoolbook_product(p.coeffs, q.coeffs)))
+
+        product()
+
+    def test_shift_property(self):
+        hypothesis, st, fractions, polys = self.strategies()
+
+        @hypothesis.settings(max_examples=400)
+        @hypothesis.given(polys, st.one_of(st.integers(-12, 12), fractions))
+        def shifted(p, sigma):
+            assert_same_poly(p.shift(sigma), UniPoly("theta", schoolbook_shift(p.coeffs, sigma)))
+
+        shifted()
+
+    @pytest.mark.parametrize("a,b", [
+        ((Fraction(1, 6), 0, -1), (Fraction(1, 10), Fraction(-7, 15))),
+        ((Fraction(4), Fraction(4), Fraction(1)), (2, 0, Fraction(-1, 2))),
+        ((Fraction(1, 3), Fraction(2, 3)), (3, Fraction(3, 2))),
+    ])
+    def test_products_of_coprime_denominators(self, a, b):
+        p, q = UniPoly("theta", a), UniPoly("theta", b)
+        assert_same_poly(p * q, UniPoly("theta", schoolbook_product(a, b)))
+        for sigma in (-3, 2, Fraction(5), Fraction(-1, 6)):
+            assert_same_poly(p.shift(sigma), UniPoly("theta", schoolbook_shift(a, sigma)))
 
 
 class TestRationalRoots:
