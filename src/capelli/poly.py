@@ -492,12 +492,8 @@ class UniPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        """Product by a scalar, or by a UniPoly on integer numerators.
-
-        A UniPoly product convolves the operands' numerators over their
-        common denominators in plain ints and divides once per output
-        coefficient; an integral coefficient comes back as an int.
-        """
+        """Product by a scalar, or by a UniPoly: a convolution of integer
+        numerators, divided once per output coefficient (module docstring)."""
         if not isinstance(other, UniPoly):
             _check_scalar(other, UniPoly)
             return UniPoly(self.symbol, tuple(c * other for c in self.coeffs))

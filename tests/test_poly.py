@@ -382,17 +382,6 @@ class TestCommonDenominatorKernel:
 
         shifted()
 
-    @pytest.mark.parametrize("a,b", [
-        ((Fraction(1, 6), 0, -1), (Fraction(1, 10), Fraction(-7, 15))),
-        ((Fraction(4), Fraction(4), Fraction(1)), (2, 0, Fraction(-1, 2))),
-        ((Fraction(1, 3), Fraction(2, 3)), (3, Fraction(3, 2))),
-    ])
-    def test_products_of_coprime_denominators(self, a, b):
-        p, q = UniPoly("theta", a), UniPoly("theta", b)
-        assert_same_poly(p * q, UniPoly("theta", schoolbook_product(a, b)))
-        for sigma in (-3, 2, Fraction(5), Fraction(-1, 6)):
-            assert_same_poly(p.shift(sigma), UniPoly("theta", schoolbook_shift(a, sigma)))
-
 
 class TestRationalRoots:
     def test_two_linear_factors(self):
