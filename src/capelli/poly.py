@@ -83,7 +83,7 @@ def _numerators(coeffs):
     """(numerators, den) with coeffs[i] == numerators[i] / den, den the lcm of the denominators."""
     dens = list(map(_denominator, coeffs))
     den = lcm(*dens)
-    if den == 1:
+    if den == 1:                # most operands in the quotient algebra: skip the scaling
         return list(map(_numerator, coeffs)), 1
     return list(map(_mul, map(_numerator, coeffs), map(floordiv, repeat(den), dens))), den
 
