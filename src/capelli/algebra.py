@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 
-from .poly import UniPoly, as_fraction, format_rational, power
+from .poly import UniPoly, _check_scalar, format_rational, power
 
 F = "f"
 THETA = "theta"
@@ -68,28 +68,25 @@ class APresentation:
             raise ValueError("d must be positive")
         if b_monic.degree() != d:
             raise ValueError(f"deg b = {b_monic.degree()} != d = {d}")
-        c = as_fraction(c)
-        if c <= 0:
-            raise ValueError("the constant c must be positive")
         return cls(d=d, B=(b_monic.scale_arg(Fraction(1, d)) * c).with_symbol(THETA))
 
     def __post_init__(self):
         if self.B.degree() != self.d:
             raise ValueError("deg B must equal d")
-        if as_fraction(self.B.leading()) <= 0:
+        if self.B.leading() <= 0:
             raise ValueError("B must have positive leading coefficient")
         if self.B.evaluate(-self.d) != 0:
             raise ValueError("B(-d) must vanish (theta = 0 must solve the fDelta relation)")
 
     @property
-    def c(self) -> Fraction:
+    def c(self) -> int | Fraction:
         """Leading coefficient of B(d*s)."""
-        return as_fraction(self.B.leading() * self.d ** self.d)
+        return self.B.leading() * self.d ** self.d
 
     @property
     def b_monic(self) -> UniPoly:
         """The monic b(s) = B(d*s) / c."""
-        return (self.B.scale_arg(self.d) * (1 / self.c)).with_symbol("s")
+        return (self.B.scale_arg(self.d) * Fraction(1, self.c)).with_symbol("s")
 
     def B_shift(self, t: int) -> UniPoly:
         """B(theta + t*d), shifted once per t and kept on this presentation."""
@@ -98,9 +95,10 @@ class APresentation:
             p = self._B_shifts[t] = self.B.shift(t * self.d)
         return p
 
-    def edge_scalar(self, s_value) -> Fraction:
+    def edge_scalar(self, s_value) -> int | Fraction:
         """c * b(s_value): the Delta-edge scalar of ladder modules."""
-        return as_fraction(self.B.evaluate(self.d * as_fraction(s_value)))
+        _check_scalar(s_value, "s")
+        return self.B.evaluate(self.d * s_value)
 
     def to_json_dict(self) -> dict:
         return {"d": self.d, "B": [format_rational(c) for c in self.B.coeffs]}

@@ -28,7 +28,7 @@ from typing import Optional
 
 from .algebra import APresentation
 from .catalog import CaseInstance, case_spec, instantiate
-from .poly import (MultiPoly, UniPoly, as_fraction, format_rational, ratio,
+from .poly import (MultiPoly, UniPoly, _check_scalar, format_rational, ratio,
                    rational_roots)
 from .weyl import (NotProportional, f_power_element, twisted_apply,
                    twisted_scalar_profile, weyl_apply)
@@ -46,6 +46,7 @@ def compute_b(inst: CaseInstance):
 
 
 def _compute_b(inst: CaseInstance):
+    # not c*b(s) = rho(s+1) off profile(): a fractional-lambda witness would check one profile twice
     e = f_power_element(1, inst.f)           # f^(s+1)
     result = twisted_apply(inst.delta, e, inst.f)
     if result.m != 0:
@@ -56,7 +57,6 @@ def _compute_b(inst: CaseInstance):
         raise NotProportional(
             f"case ({inst.case_id}) size {inst.size}: Delta annihilates f^(s+1)")
     c, b = profile.monic()
-    c = as_fraction(c)
     if c <= 0:
         raise NotProportional(
             f"case ({inst.case_id}) size {inst.size}: leading constant {c} is not positive")
@@ -85,7 +85,7 @@ def profile(inst: CaseInstance, name: str, offset: int) -> UniPoly:
     return inst.memo[key]
 
 
-def delta_scalar(inst: CaseInstance, exponent) -> Fraction:
+def delta_scalar(inst: CaseInstance, exponent) -> int | Fraction:
     """The scalar rho with Delta(f^e) = rho * f^(e-1), by differentiation.
 
     Nonnegative integer exponents differentiate the plain polynomial f^e
@@ -93,20 +93,20 @@ def delta_scalar(inst: CaseInstance, exponent) -> Fraction:
     everything else evaluates the symbolic profile of Delta.  Neither path
     reads b.
     """
-    e = as_fraction(exponent)
-    if e.denominator != 1 or e < 0:
-        return as_fraction(profile(inst, "delta", -1).evaluate(e))
+    _check_scalar(exponent, "an exponent")
+    if exponent.denominator != 1 or exponent < 0:
+        return profile(inst, "delta", -1).evaluate(exponent)
     scalars = inst.memo.setdefault("delta", {})
-    k = int(e)
+    k = exponent.numerator
     if k not in scalars:
         scalars[k] = _plain_delta_scalar(inst, k)
     return scalars[k]
 
 
-def _plain_delta_scalar(inst: CaseInstance, k: int) -> Fraction:
+def _plain_delta_scalar(inst: CaseInstance, k: int) -> int | Fraction:
     image = weyl_apply(inst.delta, f_power(inst, k))
     if image.is_zero():
-        return Fraction(0)
+        return 0
     if k == 0:
         raise NotProportional("Delta does not annihilate constants")
     base, got = f_power(inst, k - 1).terms, image.terms
@@ -117,7 +117,7 @@ def _plain_delta_scalar(inst: CaseInstance, k: int) -> Fraction:
     rho = ratio(got.get(e, 0), c)
     if len(got) != len(base) or any(got.get(e) != rho * c for e, c in base.items()):
         raise NotProportional(f"Delta(f^{k}) is not a scalar multiple of f^{k - 1}")
-    return as_fraction(rho)
+    return rho
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,7 @@ class BCertificate:
     case_id: int
     size: int
     b_monic: UniPoly
-    c: Fraction
+    c: int | Fraction
     expected: UniPoly          # the table row as printed
     roots: tuple               # rational roots of b_monic, with multiplicity
     verdict: str
@@ -200,7 +200,7 @@ def verify_annihilation(inst: CaseInstance, m_max: int = 6) -> AnnihilationRepor
     b, c = compute_b(inst)
     for m in range(m_max + 1):
         try:
-            holds = delta_scalar(inst, m) == c * as_fraction(b.evaluate(m - 1))
+            holds = delta_scalar(inst, m) == c * b.evaluate(m - 1)
         except NotProportional:
             holds = False
         if not holds:

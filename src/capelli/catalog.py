@@ -289,7 +289,10 @@ def case_spec(case_id: int) -> CaseSpec:
 
 
 def instantiate(case_id: int, size: int) -> CaseInstance:
-    """Build f, Delta, theta for a catalog case at the given size."""
+    """Build f, Delta, theta for a catalog case at the given size.
+
+    One shared instance, memo included, per (case, size) for the whole
+    process (lru_cache); dataclasses.replace gives a copy with a private memo."""
     spec = case_spec(case_id)
     if not spec.valid_size(size):
         raise ValueError(

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import AElement, APresentation, a_add, a_mul, a_pow, a_sub
-from .poly import as_fraction
 
 MAX_EXPONENT = 10 ** 6
 # the parser recurses four frames per parenthesis level, so this keeps
@@ -283,12 +282,12 @@ def element_to_expr(x: AElement):
     for key in sorted(x.parts, reverse=True):
         p = x.parts[key]
         for k in range(p.degree(), -1, -1):
-            c = as_fraction(p.coeffs[k])
+            c = p.coeffs[k]
             if c == 0:
                 continue
             factors = []
             if abs(c) != 1 or (k == 0 and key == 0):
-                factors.append(RatLit(abs(c)))
+                factors.append(RatLit(Fraction(abs(c))))
             if key > 0:
                 fe = Sym("f") if key == 1 else Pow(Sym("f"), key)
                 factors.append(fe)

@@ -30,7 +30,7 @@ from typing import Optional
 from .algebra import AElement, APresentation
 from .bfunction import delta_scalar, presentation_for, profile
 from .catalog import CaseInstance
-from .poly import UniPoly, as_fraction, format_rational, rational_roots
+from .poly import UniPoly, _check_scalar, format_rational, rational_roots
 from .weyl import NotProportional
 
 # -- tiny exact matrix helpers (lists of rows) ---------------------------
@@ -97,7 +97,7 @@ def mat_nilpotent(m) -> bool:
 
 @dataclass
 class Violation:
-    weight: Fraction
+    weight: int | Fraction
     kind: str       # "delta-f", "f-delta", "FN", "DN", "nilpotent"
     detail: str
 
@@ -188,22 +188,24 @@ def validate(T: GradedModule) -> list:
 # -- ladder constructors ---------------------------------------------------
 
 
-def _window_range(window):
+def _window_range(lam, window):
+    _check_scalar(lam, "lambda")
     k_min, k_max = window
     if k_min > k_max:
         raise ValueError("window must satisfy k_min <= k_max")
     return range(k_min, k_max + 1)
 
 
-def ladder_weight(pres: APresentation, lam, k: int) -> Fraction:
-    return as_fraction(pres.d) * (as_fraction(lam) + k)
+def ladder_weight(pres: APresentation, lam, k: int) -> int | Fraction:
+    _check_scalar(lam, "lambda")
+    return pres.d * (lam + k)
 
 
 def _rank_one_ladder(pres: APresentation, lam, window, d_edge) -> GradedModule:
     """Rank-one ladder skeleton: step k sits at weight d*(k+lambda) with
     N = 0, F edges are 1, the D edge out of step k is d_edge(k), and an
     edge leaving the window is a boundary."""
-    ks = _window_range(window)
+    ks = _window_range(lam, window)
     T = GradedModule(pres, {ladder_weight(pres, lam, k): 1 for k in ks})
     for k in ks:
         alpha = ladder_weight(pres, lam, k)
@@ -225,7 +227,6 @@ def build_ladder(pres: APresentation, lam, window) -> GradedModule:
     F edges are 1; the D edge out of step k carries c*b(k+lambda-1); the
     theta action is semisimple (N = 0).
     """
-    lam = as_fraction(lam)
     return _rank_one_ladder(pres, lam, window, lambda k: pres.edge_scalar(k + lam - 1))
 
 
@@ -240,15 +241,14 @@ def psi_of_ladder(inst: CaseInstance, lam, window,
     invariant-theory input that C[V]^(G') = C[f].  Multiplication by f
     sends each basis vector to the next one on the nose (F = 1).
     """
-    lam = as_fraction(lam)
+    ks = _window_range(lam, window)
     if pres is None:
         pres = presentation_for(inst)
-    ks = _window_range(window)
     theta = profile(inst, "theta", 0)       # theta(f^s) = rho(s) f^s
     for k in ks:
         # theta: weight must come out as d*(k+lambda), exactly, with N = 0
         alpha = ladder_weight(pres, lam, k)
-        weight = as_fraction(theta.evaluate(lam + k))
+        weight = theta.evaluate(lam + k)
         if weight != alpha:
             raise NotProportional(
                 f"theta acts on f^(s+{k}) with weight {weight}, expected {alpha}")
@@ -258,10 +258,10 @@ def psi_of_ladder(inst: CaseInstance, lam, window,
 
 def break_points(pres: APresentation, lam, window) -> dict:
     """Steps k in the window whose D edge vanishes, with root multiplicity."""
-    lam = as_fraction(lam)
+    ks = _window_range(lam, window)
     roots = rational_roots(pres.b_monic)
     out = {}
-    for k in _window_range(window):
+    for k in ks:
         root = k + lam - 1
         mult = sum(1 for r in roots if r == root)
         if mult:
@@ -273,7 +273,7 @@ def break_points(pres: APresentation, lam, window) -> dict:
 class WitnessReport:
     case_id: int
     size: int
-    lam: Fraction
+    lam: int | Fraction
     window: tuple
     passed: bool
     detail: str
@@ -289,7 +289,7 @@ def gauge_normalize(T: GradedModule) -> GradedModule:
     for a in weights:
         gamma[a] = scale
         if a in T.F:
-            e = as_fraction(T.F[a][0][0])
+            e = T.F[a][0][0]
             if e == 0:
                 raise ValueError("cannot gauge a vanishing F edge")
             scale = scale * e
@@ -299,16 +299,15 @@ def gauge_normalize(T: GradedModule) -> GradedModule:
     for a in weights:
         out.N[a] = T.n_at(a)
         if a in T.F:
-            out.F[a] = [[as_fraction(T.F[a][0][0]) * gamma[a] / gamma[a + d]]]
+            out.F[a] = [[T.F[a][0][0] * gamma[a] / gamma[a + d]]]
         if a in T.D:
-            out.D[a] = [[as_fraction(T.D[a][0][0]) * gamma[a] / gamma[a - d]]]
+            out.D[a] = [[T.D[a][0][0] * gamma[a] / gamma[a - d]]]
     return out
 
 
 def equivalence_witness(inst: CaseInstance, lam, window,
                         pres: Optional[APresentation] = None) -> WitnessReport:
     """Compare the relation-side ladder with the differentiation-side ladder."""
-    lam = as_fraction(lam)
     if pres is None:
         pres = presentation_for(inst)
     abstract = gauge_normalize(build_ladder(pres, lam, window))

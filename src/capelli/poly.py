@@ -1,10 +1,12 @@
 """Exact polynomial arithmetic: sparse multivariate and dense univariate.
 
-Scalars are arbitrary-precision rationals.  We use ``fractions.Fraction``
-and plain ``int`` interchangeably as coefficients (an int is a rational
-with denominator 1; mixing the two is exact and keeps the all-integer
-hot paths fast).  No floating point anywhere: every scalar path
-(``constant``, a product by a scalar) raises TypeError for anything else.
+Scalars are exact rationals, each a plain ``int`` or a ``fractions.Fraction``
+and never converted (an int is a rational with denominator 1; mixing the
+two is exact and keeps the all-integer hot paths fast).  No floating point
+anywhere: ``_check_scalar``, the one scalar type check, raises TypeError on
+anything else at each entry: ``constant``, scalar products, ``shift``,
+``scale_arg``, ``monomial``, ``from_offsets``, the ladders' lambda and the
+arguments of ``delta_scalar`` and ``edge_scalar``; never in bare constructors.
 
 ``TermMap`` holds the sparse additive structure (construction, equality,
 sums, scalar multiples) that ``MultiPoly`` here and ``weyl.WeylOp`` share;
@@ -45,27 +47,22 @@ from operator import add as _add, attrgetter, floordiv, mul as _mul, neg as _neg
 
 def ratio(a, b):
     """Exact quotient a/b, returned as int when the result is integral."""
-    q = Fraction(a) / Fraction(b)
+    q = Fraction(a, b)
     return q.numerator if q.denominator == 1 else q
-
-
-def as_fraction(c) -> Fraction:
-    return c if isinstance(c, Fraction) else Fraction(c)
 
 
 def format_rational(c) -> str:
     """Canonical "p/q" wire form (denominator always present)."""
-    f = as_fraction(c)
-    return f"{f.numerator}/{f.denominator}"
+    return f"{c.numerator}/{c.denominator}"
 
 
 def _grlex(exps):
     return (sum(exps), exps)
 
 
-def _check_scalar(c, cls):
+def _check_scalar(c, what):
     if not isinstance(c, (int, Fraction)):
-        raise TypeError(f"cannot combine {cls.__name__} and {type(c).__name__}")
+        raise TypeError(f"{what} must be an int or a Fraction, not {type(c).__name__}")
 
 
 def _nonzero(terms):
@@ -154,15 +151,14 @@ def _join_terms(terms):
     """Render (coefficient, monomial text) pairs as "a*m - b*n + c"; "0" if none."""
     pieces = []
     for c, body in terms:
-        cf = as_fraction(c)
         if not body:
-            pieces.append(str(cf))
-        elif cf == 1:
+            pieces.append(str(c))
+        elif c == 1:
             pieces.append(body)
-        elif cf == -1:
+        elif c == -1:
             pieces.append(f"-{body}")
         else:
-            pieces.append(f"{cf}*{body}")
+            pieces.append(f"{c}*{body}")
     if not pieces:
         return "0"
     text = pieces[0]
@@ -201,7 +197,7 @@ class TermMap:
 
     @classmethod
     def constant(cls, arity, c):
-        _check_scalar(c, cls)
+        _check_scalar(c, "a constant")
         return cls(arity, _nonzero({cls.unit_key(arity): c}))
 
     @classmethod
@@ -251,7 +247,7 @@ class TermMap:
         return (-self) + other
 
     def _scale(self, c):
-        _check_scalar(c, type(self))
+        _check_scalar(c, "a scalar factor")
         return type(self)(self.arity, _nonzero({k: v * c for k, v in self.terms.items()}))
 
 
@@ -281,6 +277,7 @@ class MultiPoly(TermMap):
         exps = tuple(exps)
         if len(exps) != arity:
             raise ValueError("exponent vector length != arity")
+        _check_scalar(c, "a coefficient")
         return cls(arity, _nonzero({exps: c}))
 
     # -- queries -------------------------------------------------------
@@ -423,7 +420,7 @@ class UniPoly:
 
     @classmethod
     def constant(cls, symbol, c):
-        _check_scalar(c, cls)
+        _check_scalar(c, "a constant")
         return cls(symbol, (c,))
 
     @classmethod
@@ -435,6 +432,7 @@ class UniPoly:
         """Monic polynomial prod (t + o) -- roots are the negated offsets."""
         p = cls.constant(symbol, 1)
         for o in offsets:
+            _check_scalar(o, "an offset")
             p = p * cls(symbol, (o, 1))
         return p
 
@@ -495,7 +493,7 @@ class UniPoly:
         """Product by a scalar, or by a UniPoly: a convolution of integer
         numerators, divided once per output coefficient (module docstring)."""
         if not isinstance(other, UniPoly):
-            _check_scalar(other, UniPoly)
+            _check_scalar(other, "a scalar factor")
             return UniPoly(self.symbol, tuple(c * other for c in self.coeffs))
         self._check(other)
         if self.is_zero() or other.is_zero():
@@ -532,7 +530,7 @@ class UniPoly:
         int operations and an integral result coefficient is an int; any
         other sigma shifts the coefficients themselves.
         """
-        _check_scalar(sigma, UniPoly)
+        _check_scalar(sigma, "a shift")
         if sigma == 0:
             return self         # immutable, so the identity shift shares it
         if sigma.denominator == 1:
@@ -548,7 +546,7 @@ class UniPoly:
 
     def scale_arg(self, a):
         """Return t |-> p(a*t)."""
-        _check_scalar(a, UniPoly)
+        _check_scalar(a, "an argument scale")
         out = []
         power = 1
         for c in self.coeffs:

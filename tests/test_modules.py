@@ -7,12 +7,12 @@ import pytest
 import capelli
 from capelli import modules
 from capelli.algebra import DELTA, F, THETA, AElement, from_word
-from capelli.bfunction import presentation_for
+from capelli.bfunction import delta_scalar, presentation_for
 from capelli.catalog import instantiate
 from capelli.modules import (GradedModule, act, break_points, build_ladder,
                              direct_sum, equivalence_witness, gauge_normalize,
                              ladder_weight, mat_identity, psi_of_ladder, validate)
-from capelli.poly import rational_roots
+from capelli.poly import MultiPoly, UniPoly, rational_roots
 from capelli.weyl import NotProportional
 
 
@@ -125,6 +125,34 @@ class TestBuildLadder:
     def test_window_validation(self, pres4):
         with pytest.raises(ValueError):
             build_ladder(pres4, 0, (2, 1))
+
+
+class TestExactScalarGates:
+    @pytest.mark.parametrize("value", [0.1, "1/2"])
+    @pytest.mark.parametrize("entry", [
+        pytest.param(lambda inst, pres, v: build_ladder(pres, v, (0, 2)), id="build_ladder"),
+        pytest.param(lambda inst, pres, v: psi_of_ladder(inst, v, (0, 2), pres=pres),
+                     id="psi_of_ladder"),
+        pytest.param(lambda inst, pres, v: break_points(pres, v, (0, 2)), id="break_points"),
+        pytest.param(lambda inst, pres, v: equivalence_witness(inst, v, (0, 2), pres=pres),
+                     id="equivalence_witness"),
+        pytest.param(lambda inst, pres, v: ladder_weight(pres, v, 0), id="ladder_weight"),
+        pytest.param(lambda inst, pres, v: delta_scalar(inst, v), id="delta_scalar"),
+        pytest.param(lambda inst, pres, v: pres.edge_scalar(v), id="edge_scalar"),
+        pytest.param(lambda inst, pres, v: MultiPoly.monomial(2, (1, 0), v), id="monomial"),
+        pytest.param(lambda inst, pres, v: UniPoly.from_offsets("s", (1, v)),
+                     id="from_offsets"),
+    ])
+    def test_inexact_scalar_raises(self, entry, value, inst4, pres4):
+        with pytest.raises(TypeError):
+            entry(inst4, pres4, value)
+
+    def test_integral_lambda_as_int_or_fraction(self, inst4, pres4):
+        for build in (lambda lam: build_ladder(pres4, lam, (-2, 3)),
+                      lambda lam: psi_of_ladder(inst4, lam, (-2, 3), pres=pres4)):
+            as_int, as_fraction = build(2), build(Fraction(2))
+            assert as_int == as_fraction
+            assert as_int.to_json_dict() == as_fraction.to_json_dict()
 
 
 class TestBreakPoints:
