@@ -96,6 +96,18 @@ class TestValidate:
         kinds = {v.kind for v in validate(T)}
         assert kinds & {"FN", "DN", "delta-f", "f-delta"}
 
+    @pytest.mark.parametrize("plant", [
+        pytest.param(lambda T: T.dims.update({0.5: 1}), id="float-weight"),
+        pytest.param(lambda T: T.D.update({2: [[0.5]]}), id="float-entry"),
+        # an F edge out of the top of the window: no relation reads it
+        pytest.param(lambda T: T.F.update({6: [["1/2"]]}), id="string-entry"),
+    ])
+    def test_inexact_data_raises(self, pres4, plant):
+        T = build_ladder(pres4, 0, (0, 3))
+        plant(T)
+        with pytest.raises(TypeError):
+            validate(T)
+
     def test_non_nilpotent_rejected(self, pres4):
         T = GradedModule(pres4, {Fraction(0): 1})
         T.N[Fraction(0)] = [[1]]
@@ -206,6 +218,16 @@ class TestPsi:
         with pytest.raises(NotProportional, match="theta acts on"):
             psi_of_ladder(doubled, 0, (0, 2), pres=pres4)
 
+    def test_theta_profile_is_checked_as_an_identity(self, inst4, pres4):
+        # theta' = theta + theta(theta - d)(theta - 2d) has the profile
+        # 8s^3 - 24s^2 + 18s, which agrees with d*s = 2s at s = 0, 1, 2 only
+        theta, d = inst4.theta, pres4.d
+        bent = dataclasses.replace(inst4, theta=theta + theta * (theta - d) * (theta - 2 * d))
+        with pytest.raises(NotProportional, match="theta acts on"):
+            psi_of_ladder(bent, 0, (0, 2), pres=pres4)
+        with pytest.raises(NotProportional):
+            equivalence_witness(bent, 0, (0, 2), pres=pres4)
+
 
 class TestPsiValidatesEverywhere:
     def test_all_cases_three_twists(self, min_instances, min_presentations):
@@ -279,7 +301,17 @@ class TestWitness:
         monkeypatch.setattr(modules, "delta_scalar", lambda inst, e: original(inst, e) + 1)
         report = equivalence_witness(inst4, 0, (0, 3), pres=pres4)
         assert not report.passed
-        assert report.detail.startswith("D edge at weight")
+        assert report.detail == "D edge at weight 2: ladder 2 vs computed 3"
+
+    @pytest.mark.parametrize("lam,detail", [
+        (Fraction(1, 2), "D edge at weight 3: ladder 15/4 vs computed 19/4"),
+        (Fraction(-1, 3), "D edge at weight 4/3: ladder 10/9 vs computed 19/9"),
+    ])
+    def test_wrong_d_edge_text_fractional_lambda(self, inst4, pres4, monkeypatch, lam, detail):
+        original = modules.delta_scalar
+        monkeypatch.setattr(modules, "delta_scalar", lambda inst, e: original(inst, e) + 1)
+        report = equivalence_witness(inst4, lam, (0, 3), pres=pres4)
+        assert (report.passed, report.detail) == (False, detail)
 
     def test_each_profile_is_computed_once(self, monkeypatch):
         # compute_b, the Delta profile and the theta profile, whatever the

@@ -1,6 +1,7 @@
 """Cross-checks against sympy, an oracle that shares no code with capelli.
 
-sympy is not a dependency of capelli; without it this module is skipped.
+sympy is only a test dependency of capelli (the `test` extra); without it this
+module is skipped.
 """
 
 import random
