@@ -84,14 +84,13 @@ def _certificate_line(cert) -> str:
 
 
 def cmd_bs_compute(args) -> int:
-    inst = catalog.instantiate(args.case, args.size)
     cert = bfunction.verify_table(args.case, args.size)
     if args.json:
         _emit_json(cert.to_json_dict())
     else:
         print(_certificate_line(cert))
         roots = ", ".join(format_rational(r) for r in cert.roots)
-        print(f"  roots: {roots}   (deg f = {inst.d})")
+        print(f"  roots: {roots}   (deg f = {cert.b_monic.degree()})")
         if cert.verdict == VERDICT_DISPUTED:
             print("  note: disputed table row; the computed b is the oracle value")
     return 0 if cert.verdict in (VERDICT_MATCH, VERDICT_DISPUTED) else 1

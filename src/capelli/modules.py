@@ -10,6 +10,9 @@ matrix identities:
     F_{alpha-d} D_alpha = B((alpha-d)*I + N_alpha)      (f Delta = B(theta-d))
 
 together with the intertwining F N = N F and D N = N D across edges.
+On the space at alpha theta acts as alpha*I + N_alpha, so p(w*I + N_alpha)
+is mat_poly(p.shift(w), N_alpha): validate and act_component evaluate
+every theta polynomial so, one Taylor shift per weight space.
 
 Ladder constructors realize the rank-one modules spanned by the powers
 f^(k+lambda).  One builder lays out the shared skeleton (weights, N = 0,
@@ -136,10 +139,6 @@ class GradedModule:
             return self.D[alpha]
         return mat_zeros(self.dim(alpha - self.pres.d), self.dim(alpha))
 
-    def theta_at(self, alpha, weight):
-        """theta on the space at alpha, read as weight*I + N_alpha."""
-        return mat_add(mat_scale(weight, mat_identity(self.dim(alpha))), self.n_at(alpha))
-
     def to_json_dict(self) -> dict:
         def fmt_matrix(m):
             return [[format_rational(x) for x in row] for row in m]
@@ -180,14 +179,14 @@ def validate(T: GradedModule) -> list:
             if mat_mul(f_a, n_a) != mat_mul(T.n_at(up), f_a):
                 out.append(Violation(alpha, "FN", "F does not intertwine N"))
             # up then down: D_{a+d} F_a = B(a*I + N_a)
-            if mat_mul(T.d_at(up), f_a) != mat_poly(B, T.theta_at(alpha, alpha)):
+            if mat_mul(T.d_at(up), f_a) != mat_poly(B.shift(alpha), n_a):
                 out.append(Violation(alpha, "delta-f", "D.F != B(theta) at this weight"))
         if has_down:
             d_a = T.d_at(alpha)
             if mat_mul(d_a, n_a) != mat_mul(T.n_at(down), d_a):
                 out.append(Violation(alpha, "DN", "D does not intertwine N"))
             # down then up: F_{a-d} D_a = B((a-d)*I + N_a)
-            if mat_mul(T.f_at(down), d_a) != mat_poly(B, T.theta_at(alpha, down)):
+            if mat_mul(T.f_at(down), d_a) != mat_poly(B.shift(down), n_a):
                 out.append(Violation(alpha, "f-delta", "F.D != B(theta-d) at this weight"))
     return out
 
@@ -261,15 +260,15 @@ def psi_of_ladder(inst: CaseInstance, lam, window,
 
 
 def break_points(pres: APresentation, lam, window) -> dict:
-    """Steps k in the window whose D edge vanishes, with root multiplicity."""
+    """Steps k in the window whose D edge c*b(k+lambda-1) vanishes, with root
+    multiplicity: k = r - lambda + 1 for each rational root r of b, so the
+    cost is O(deg b) whatever the window's length."""
     ks = _window_range(lam, window)
-    roots = rational_roots(pres.b_monic)
     out = {}
-    for k in ks:
-        root = k + lam - 1
-        mult = sum(1 for r in roots if r == root)
-        if mult:
-            out[k] = mult
+    for r in rational_roots(pres.b_monic):
+        k = r - lam + 1
+        if k.denominator == 1 and k.numerator in ks:
+            out[k.numerator] = out.get(k.numerator, 0) + 1
     return out
 
 
@@ -367,24 +366,22 @@ def act_component(T: GradedModule, key: int, p: UniPoly, alpha):
     d = T.pres.d
     if alpha not in T.dims:
         return None
+    cur = alpha
     if key >= 0:
-        m = mat_poly(p, T.theta_at(alpha, alpha))
-        cur = alpha
+        m = mat_poly(p.shift(alpha), T.n_at(alpha))
         for _ in range(key):
             if cur + d not in T.dims or cur in T.f_boundary:
                 return None
             m = mat_mul(T.f_at(cur), m)
             cur = cur + d
         return cur, m
-    b = -key
     m = mat_identity(T.dim(alpha))
-    cur = alpha
-    for _ in range(b):
+    for _ in range(-key):
         if cur - d not in T.dims or cur in T.d_boundary:
             return None
         m = mat_mul(T.d_at(cur), m)
         cur = cur - d
-    return cur, mat_mul(mat_poly(p, T.theta_at(cur, cur)), m)
+    return cur, mat_mul(mat_poly(p.shift(cur), T.n_at(cur)), m)
 
 
 def act(T: GradedModule, x: AElement, alpha) -> dict:

@@ -24,15 +24,15 @@ from its neighbour, so each call chooses the field width from its
 operands' largest exponents; keys are packed on entry and unpacked on
 exit, and .terms stays tuple-keyed.
 
-The theta-polynomial kernels, UniPoly.__mul__ and UniPoly.shift by an
-integer, run on integer numerators over one common denominator, the
-layout of FLINT's fmpq_poly: each operand is scaled to integers over the
-lcm of its denominators (_numerators), the loop runs in plain ints, and
-each output coefficient is built once over the product of the
-denominators (_rationals), so a product pays one gcd per coefficient,
-not one per multiply-add.  An integral coefficient comes back as an int,
-even where the operands held Fraction(4); values, equality and hashes
-are unchanged, since Fraction(4) == 4 and hash(Fraction(4)) == hash(4).
+The theta-polynomial kernels, UniPoly.__mul__ and UniPoly.shift, run on
+integer numerators over one common denominator, the layout of FLINT's
+fmpq_poly: each operand is scaled to integers over the lcm of its
+denominators (_numerators), the loop runs in plain ints, and each output
+coefficient is built once over the product of the denominators
+(_rationals), so a product pays one gcd per coefficient, not one per
+multiply-add.  An integral coefficient comes back as an int, even where
+the operands held Fraction(4); values, equality and hashes are
+unchanged, since Fraction(4) == 4 and hash(Fraction(4)) == hash(4).
 """
 
 from __future__ import annotations
@@ -521,27 +521,28 @@ class UniPoly:
     def shift(self, sigma):
         """Return t |-> p(t + sigma), exactly.
 
-        The classical Taylor shift, in place on a copy of the coefficient
-        list (von zur Gathen and Gerhard, ISSAC 1997): pass i folds
-        sigma times each coefficient above i into the one below it, from
-        the top down, n(n-1)/2 multiply-adds in all, and one UniPoly is
-        built at the end.  For an integer sigma the list holds the integer
-        numerators over the common denominator, so the multiply-adds are
-        int operations and an integral result coefficient is an int; any
-        other sigma shifts the coefficients themselves.
+        The classical Taylor shift (von zur Gathen and Gerhard, ISSAC 1997)
+        on the integer numerators over the common denominator.  With sigma
+        = u/v in lowest terms, scaling the numerator of degree i by
+        v^(n-1-i) turns the shift by u/v into one by u; pass i folds u
+        times each numerator above i into the one below it, from the top
+        down, n(n-1)/2 int multiply-adds in all; the result of degree i is
+        scaled back by v^i over den*v^(n-1), and one UniPoly is built.
         """
         _check_scalar(sigma, "a shift")
         if sigma == 0:
             return self         # immutable, so the identity shift shares it
-        if sigma.denominator == 1:
-            a, den = _numerators(self.coeffs)
-            sigma = sigma.numerator
-        else:
-            a, den = list(self.coeffs), 1
+        a, den = _numerators(self.coeffs)
+        u, v = sigma.numerator, sigma.denominator
         n = len(a)
+        if v != 1:
+            a = [x * v ** (n - 1 - i) for i, x in enumerate(a)]
         for i in range(n - 1):
             for j in range(n - 2, i - 1, -1):
-                a[j] += sigma * a[j + 1]
+                a[j] += u * a[j + 1]
+        if v != 1:
+            a = [x * v ** i for i, x in enumerate(a)]
+            den *= v ** (n - 1)
         return UniPoly(self.symbol, _rationals(a, den))
 
     def scale_arg(self, a):

@@ -11,8 +11,9 @@ from capelli.bfunction import delta_scalar, presentation_for
 from capelli.catalog import instantiate
 from capelli.modules import (GradedModule, act, break_points, build_ladder,
                              direct_sum, equivalence_witness, gauge_normalize,
-                             ladder_weight, mat_identity, psi_of_ladder, validate)
-from capelli.poly import MultiPoly, UniPoly, rational_roots
+                             ladder_weight, mat_add, mat_identity, mat_mul, mat_poly,
+                             mat_scale, psi_of_ladder, validate)
+from capelli.poly import MultiPoly, UniPoly
 from capelli.weyl import NotProportional
 
 
@@ -70,15 +71,19 @@ class TestValidate:
         T.F[alpha][0][0] = 7
         assert validate(T) == []
 
-    def test_thick_module_with_nilpotent_part(self, pres4):
+    # lambda = 1/3 puts the weights off the integers, so every shift is fractional
+    @pytest.mark.parametrize("lam", [0, Fraction(1, 2), Fraction(1, 3)], ids=str)
+    def test_thick_module_with_nilpotent_part(self, pres4, lam):
         # two-dimensional spaces, N a Jordan block, F identity,
         # D_alpha := B((alpha-d) I + N): the relations hold by construction
         d = pres4.d
         N = [[0, 1], [0, 0]]
-        weights = [Fraction(k * d) for k in range(4)]
+        weights = [ladder_weight(pres4, lam, k) for k in range(4)]
         dims = {a: 2 for a in weights}
         T = GradedModule(pres4, dims)
-        from capelli.modules import mat_add, mat_poly, mat_scale
+
+        def theta_on(a):
+            return mat_add(mat_scale(a, mat_identity(2)), N)
 
         for a in weights:
             T.N[a] = [row[:] for row in N]
@@ -87,10 +92,20 @@ class TestValidate:
             else:
                 T.f_boundary.add(a)
             if a - d in dims:
-                T.D[a] = mat_poly(pres4.B, mat_add(mat_scale(a - d, mat_identity(2)), N))
+                T.D[a] = mat_poly(pres4.B, theta_on(a - d))
             else:
                 T.d_boundary.add(a)
         assert validate(T) == []
+        # theta acts as alpha I + N, Delta f as B(alpha I + N), and a theta
+        # factor next to f or Delta at the weight it meets
+        theta, delta_f, f_theta, theta_delta = (
+            from_word(pres4, w) for w in ([THETA], [DELTA, F], [F, THETA], [THETA, DELTA]))
+        for a in weights:
+            assert act(T, theta, a) == {a: theta_on(a)}
+            assert act(T, delta_f, a) == {a: mat_poly(pres4.B, theta_on(a))}
+        low, high = weights[1], weights[2]
+        assert act(T, f_theta, low) == {high: mat_mul(T.F[low], theta_on(low))}
+        assert act(T, theta_delta, high) == {low: mat_mul(theta_on(low), T.D[high])}
         # breaking the N intertwine is detected
         T.N[weights[1]] = [[0, 2], [0, 0]]
         kinds = {v.kind for v in validate(T)}
@@ -177,12 +192,30 @@ class TestBreakPoints:
     def test_double_root_multiplicity(self, pres1):
         assert break_points(pres1, 0, (-3, 3)) == {0: 2}
 
-    def test_agrees_with_rational_roots(self, pres4):
-        roots = rational_roots(pres4.b_monic)
-        lam = Fraction(-3, 2)
-        got = break_points(pres4, lam, (-8, 8))
-        predicted = {k for k in range(-8, 9) if (k + lam - 1) in roots}
-        assert set(got) == predicted
+    # (1,2): b = (s+1)^2; (2,3): half-integer roots; (3,4), (4,3): simple roots
+    @pytest.mark.parametrize("pair", [(1, 2), (2, 3), (3, 4), (4, 3)],
+                             ids=lambda p: f"case{p[0]}-size{p[1]}")
+    @pytest.mark.parametrize("lam", [0, Fraction(1, 2), Fraction(-3, 2), Fraction(1, 3)], ids=str)
+    def test_agrees_with_a_walk_over_the_window(self, pair, lam):
+        pres = presentation_for(instantiate(*pair))
+        b, window = pres.b_monic, (-8, 8)
+
+        def order_of_vanishing(s):
+            m, p = 0, b
+            while p.evaluate(s) == 0:
+                p, _ = p.deflate(s)
+                m += 1
+            return m
+
+        walked = {}
+        for k in range(window[0], window[1] + 1):
+            m = order_of_vanishing(k + lam - 1)
+            if m:
+                walked[k] = m
+        assert list(break_points(pres, lam, window).items()) == list(walked.items())
+
+    def test_wide_window_costs_nothing_extra(self, pres4):
+        assert break_points(pres4, 0, (0, 10**12)) == {0: 1}
 
 
 class TestPsi:
