@@ -49,10 +49,6 @@ def mat_identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_scale(a, m):
-    return [[a * x for x in row] for row in m]
-
-
 def mat_add(m1, m2):
     return [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(m1, m2)]
 

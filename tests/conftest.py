@@ -1,5 +1,6 @@
 import pytest
 
+from capelli import algebra
 from capelli.bfunction import presentation_for, verify_table
 from capelli.catalog import MIN_VERIFY_SIZES, instantiate
 
@@ -28,3 +29,19 @@ def min_certificates(min_instances):
 @pytest.fixture(scope="session")
 def min_presentations(min_instances):
     return {key: presentation_for(inst) for key, inst in min_instances.items()}
+
+
+@pytest.fixture
+def planted_fault(monkeypatch):
+    """A wrong product rule: Delta times f^2 comes out doubled.
+
+    Two reductions of a word that meet this product a different number
+    of times then disagree, and the confluence checks must report the word.
+    """
+    right = algebra._basis_mul
+
+    def doubled(pres, k1, p1, k2, p2):
+        k, p = right(pres, k1, p1, k2, p2)
+        return (k, p * 2) if (k1, k2) == (-1, 2) else (k, p)
+
+    monkeypatch.setattr(algebra, "_basis_mul", doubled)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -276,6 +277,50 @@ class TestConfluence:
     def test_trials_validated(self, pres4):
         with pytest.raises(ValueError):
             confluence_fuzz(pres4, trials=0, seed=1)
+
+
+def right_fold(pres, word):
+    """The right-to-left reduction of one word, from scratch."""
+    out = AElement.scalar(pres, 1)
+    for g in reversed(word):
+        out = a_mul(AElement.generator(pres, g), out)
+    return out
+
+
+# the words confluence_fuzz(pres, 200, 3) draws that meet the planted fault
+FAULT_FUZZ_WORDS = [
+    [F, F, DELTA, DELTA, F, F],
+    [DELTA, THETA, THETA, F, DELTA, F, F],
+    [DELTA, THETA, THETA, THETA, DELTA, F, F],
+    [DELTA, F, F, DELTA, F, THETA],
+    [DELTA, F, F, THETA],
+    [DELTA, F, F, F, DELTA, F, THETA, F],
+    [DELTA, F, F, F, DELTA, F, THETA, F],
+    [DELTA, Fraction(-1, 3), F, F, THETA],
+    [THETA, F, DELTA, F, Fraction(-1), F],
+    [DELTA, F, F, Fraction(-1)],
+    [F, THETA, THETA, DELTA, F, F, THETA],
+    [THETA, F, DELTA, DELTA, F, F, THETA],
+    [DELTA, THETA, F, F, DELTA, THETA, F],
+]
+
+
+class TestConfluenceCatchesFault:
+    @pytest.mark.parametrize("key", [(4, 2), (4, 3)], ids=pair_id)
+    def test_exhaustive_reports_each_failing_word(self, key, min_presentations, planted_fault):
+        pres = min_presentations[key]
+        expected = [list(w) for n in range(1, 6) for w in itertools.product(GENERATORS, repeat=n)
+                    if from_word(pres, w) != right_fold(pres, w)]
+        report = confluence_exhaustive(pres, 5)
+        assert len(expected) == 34 and expected[0] == [DELTA, F, F]
+        assert report.discrepancies == expected
+        assert report.words_checked == 3 + 9 + 27 + 81 + 243
+
+    @pytest.mark.parametrize("key", [(4, 2), (4, 3)], ids=pair_id)
+    def test_fuzz_reports_each_failing_word(self, key, min_presentations, planted_fault):
+        report = confluence_fuzz(min_presentations[key], 200, 3)
+        assert report.discrepancies == FAULT_FUZZ_WORDS
+        assert (report.trials, report.words_checked) == (200, 200)
 
 
 class TestPower:

@@ -121,6 +121,14 @@ class TestAlgebra:
                         "--trials", "50", "--seed", "3"]) == 0
         assert "0 discrepancies" in capsys.readouterr().out
 
+    def test_fuzz_reports_counterexamples(self, planted_fault, capsys):
+        assert run_cli(["algebra", "fuzz", "--case", "4", "--size", "2",
+                        "--trials", "200", "--seed", "3"]) == 1
+        out = capsys.readouterr().out
+        assert "case (4) n=2: 200 random words, 13 discrepancies\n" in out
+        # 13 words fail, and only the first 10 are printed
+        assert out.count("  counterexample: ") == 10
+
     @pytest.mark.parametrize("trials", ["0", "-1"])
     def test_fuzz_without_trials_is_usage_error(self, trials, capsys):
         assert run_cli(["algebra", "fuzz", "--case", "4", "--size", "2",

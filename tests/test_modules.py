@@ -11,8 +11,8 @@ from capelli.bfunction import delta_scalar, presentation_for
 from capelli.catalog import instantiate
 from capelli.modules import (GradedModule, act, break_points, build_ladder,
                              direct_sum, equivalence_witness, gauge_normalize,
-                             ladder_weight, mat_add, mat_identity, mat_mul, mat_poly,
-                             mat_scale, psi_of_ladder, validate)
+                             ladder_weight, mat_identity, mat_mul, mat_poly,
+                             psi_of_ladder, validate)
 from capelli.poly import MultiPoly, UniPoly
 from capelli.weyl import NotProportional
 
@@ -83,7 +83,7 @@ class TestValidate:
         T = GradedModule(pres4, dims)
 
         def theta_on(a):
-            return mat_add(mat_scale(a, mat_identity(2)), N)
+            return [[a, 1], [0, a]]
 
         for a in weights:
             T.N[a] = [row[:] for row in N]
