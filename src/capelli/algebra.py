@@ -26,9 +26,10 @@ key k = k1 + k2 with polynomial
 where low = min(k, 0), s1 = min(k1, 0) + k2 - low, s2 = min(k2, 0) - low,
 and t runs over |k| <= t < |k| + min(-k1, k2) when k1 < 0 <= k2 (Delta^b f^a
 contracts), over -min(k1, -k2) <= t <= -1 when k2 < 0 <= k1 (f^a Delta^b
-contracts), and over nothing otherwise.  Each factor B(theta + t*d) is
-shifted once per t and kept on the presentation (APresentation.B_shift),
-so the memo holds one degree-d polynomial per distinct t met.  The
+contracts), and over nothing otherwise.  _basis_mul runs it as one chain
+of integer numerators over one denominator (poly's kernels) and builds one
+UniPoly at the end; each B(theta + t*d) is shifted once per t and kept on
+the presentation as (numerators, den) (APresentation.B_shift).  The
 confluence checks compare rewriting orders, computing each product once.
 """
 
@@ -39,7 +40,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 
-from .poly import UniPoly, _check_scalar, format_rational, power
+from .poly import (UniPoly, _check_scalar, _convolve, _numerators, _rationals, _taylor_shift,
+                   format_rational, power, rational_roots)
 
 F = "f"
 THETA = "theta"
@@ -52,14 +54,15 @@ FUZZ_MAX_LEN = 8      # longest random word confluence_fuzz draws
 class APresentation:
     """Degree d and the contraction polynomial B(theta); B(d*s) = c * b_monic(s).
 
-    B_shift keeps each B(theta + t*d) once shifted, keyed on t, in a field
-    that equality, hashing and repr ignore: two presentations with equal
-    (d, B) stay equal, and each fills only its own memo.
+    One memo keeps what the products and ladders read again: B_shift's
+    B(theta + t*d), keyed on the int t, and b_roots's roots, keyed on
+    None.  Equality, hashing and repr ignore it: two presentations with
+    equal (d, B) stay equal, and each fills only its own memo.
     """
 
     d: int
     B: UniPoly
-    _B_shifts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def from_b(cls, d: int, c, b_monic: UniPoly):
@@ -88,12 +91,18 @@ class APresentation:
         """The monic b(s) = B(d*s) / c."""
         return (self.B.scale_arg(self.d) * Fraction(1, self.c)).with_symbol("s")
 
-    def B_shift(self, t: int) -> UniPoly:
-        """B(theta + t*d), shifted once per t and kept on this presentation."""
-        p = self._B_shifts.get(t)
-        if p is None:
-            p = self._B_shifts[t] = self.B.shift(t * self.d)
-        return p
+    def B_shift(self, t: int) -> tuple:
+        """B(theta + t*d) as (numerators, den), shifted once per t and kept here."""
+        if t not in self._memo:
+            a, den = _taylor_shift(*_numerators(self.B.coeffs), t * self.d)
+            self._memo[t] = (tuple(a), den)
+        return self._memo[t]
+
+    def b_roots(self) -> tuple:
+        """The rational roots of b_monic with multiplicity, ascending; found once."""
+        if None not in self._memo:
+            self._memo[None] = tuple(rational_roots(self.b_monic))
+        return self._memo[None]
 
     def edge_scalar(self, s_value) -> int | Fraction:
         """c * b(s_value): the Delta-edge scalar of ladder modules."""
@@ -187,7 +196,7 @@ def a_sub(x: AElement, y: AElement) -> AElement:
 
 
 def _basis_mul(pres: APresentation, k1: int, p1: UniPoly, k2: int, p2: UniPoly):
-    """Product of two basis words by the closed-form rule; returns (key, theta-polynomial)."""
+    """Product of two basis words, one numerator chain; returns (key, theta-polynomial)."""
     d = pres.d
     k = k1 + k2
     low = min(k, 0)
@@ -196,10 +205,12 @@ def _basis_mul(pres: APresentation, k1: int, p1: UniPoly, k2: int, p2: UniPoly):
         steps = range(abs(k), abs(k) + min(-k1, k2))
     elif k2 < 0 <= k1:
         steps = range(-min(k1, -k2), 0)
-    p = p1.shift((min(k1, 0) + k2 - low) * d)
+    a, den = _taylor_shift(*_numerators(p1.coeffs), (min(k1, 0) + k2 - low) * d)
     for t in steps:
-        p = p * pres.B_shift(t)
-    return k, p * p2.shift((min(k2, 0) - low) * d)
+        b, db = pres.B_shift(t)
+        a, den = _convolve(a, b), den * db
+    b, db = _taylor_shift(*_numerators(p2.coeffs), (min(k2, 0) - low) * d)
+    return k, UniPoly(THETA, _rationals(_convolve(a, b), den * db))
 
 
 def a_mul(x: AElement, y: AElement) -> AElement:

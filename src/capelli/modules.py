@@ -12,7 +12,7 @@ matrix identities:
 together with the intertwining F N = N F and D N = N D across edges.
 On the space at alpha theta acts as alpha*I + N_alpha, so p(w*I + N_alpha)
 is mat_poly(p.shift(w), N_alpha): validate and act_component evaluate
-every theta polynomial so, one Taylor shift per weight space.
+every theta polynomial so, validate shifting B once per weight it meets.
 
 Ladder constructors realize the rank-one modules spanned by the powers
 f^(k+lambda).  One builder lays out the shared skeleton (weights, N = 0,
@@ -29,13 +29,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import chain
 from typing import Optional
 
 from .algebra import AElement, APresentation
 from .bfunction import delta_scalar, presentation_for, profile
 from .catalog import CaseInstance
-from .poly import UniPoly, _check_scalar, format_rational, rational_roots
+from .poly import UniPoly, _check_scalar, format_rational
 from .weyl import NotProportional
 
 # -- tiny exact matrix helpers (lists of rows) ---------------------------
@@ -160,7 +161,7 @@ def validate(T: GradedModule) -> list:
     for x in chain(T.dims, T.F, T.D, T.N, T.f_boundary, T.d_boundary, entries):
         _check_scalar(x, "a weight or matrix entry")
     d = T.pres.d
-    B = T.pres.B
+    B_at = cache(T.pres.B.shift)        # B(theta + w), shifted once per weight w
     out = []
     for alpha in T.weights:
         n_a = T.n_at(alpha)
@@ -175,14 +176,14 @@ def validate(T: GradedModule) -> list:
             if mat_mul(f_a, n_a) != mat_mul(T.n_at(up), f_a):
                 out.append(Violation(alpha, "FN", "F does not intertwine N"))
             # up then down: D_{a+d} F_a = B(a*I + N_a)
-            if mat_mul(T.d_at(up), f_a) != mat_poly(B.shift(alpha), n_a):
+            if mat_mul(T.d_at(up), f_a) != mat_poly(B_at(alpha), n_a):
                 out.append(Violation(alpha, "delta-f", "D.F != B(theta) at this weight"))
         if has_down:
             d_a = T.d_at(alpha)
             if mat_mul(d_a, n_a) != mat_mul(T.n_at(down), d_a):
                 out.append(Violation(alpha, "DN", "D does not intertwine N"))
             # down then up: F_{a-d} D_a = B((a-d)*I + N_a)
-            if mat_mul(T.f_at(down), d_a) != mat_poly(B.shift(down), n_a):
+            if mat_mul(T.f_at(down), d_a) != mat_poly(B_at(down), n_a):
                 out.append(Violation(alpha, "f-delta", "F.D != B(theta-d) at this weight"))
     return out
 
@@ -258,10 +259,11 @@ def psi_of_ladder(inst: CaseInstance, lam, window,
 def break_points(pres: APresentation, lam, window) -> dict:
     """Steps k in the window whose D edge c*b(k+lambda-1) vanishes, with root
     multiplicity: k = r - lambda + 1 for each rational root r of b, so the
-    cost is O(deg b) whatever the window's length."""
+    cost is O(deg b) whatever the window's length.  The roots are found
+    once per presentation (APresentation.b_roots)."""
     ks = _window_range(lam, window)
     out = {}
-    for r in rational_roots(pres.b_monic):
+    for r in pres.b_roots():
         k = r - lam + 1
         if k.denominator == 1 and k.numerator in ks:
             out[k.numerator] = out.get(k.numerator, 0) + 1

@@ -24,15 +24,16 @@ from its neighbour, so each call chooses the field width from its
 operands' largest exponents; keys are packed on entry and unpacked on
 exit, and .terms stays tuple-keyed.
 
-The theta-polynomial kernels, UniPoly.__mul__ and UniPoly.shift, run on
-integer numerators over one common denominator, the layout of FLINT's
-fmpq_poly: each operand is scaled to integers over the lcm of its
-denominators (_numerators), the loop runs in plain ints, and each output
-coefficient is built once over the product of the denominators
-(_rationals), so a product pays one gcd per coefficient, not one per
-multiply-add.  An integral coefficient comes back as an int, even where
-the operands held Fraction(4); values, equality and hashes are
-unchanged, since Fraction(4) == 4 and hash(Fraction(4)) == hash(4).
+The theta-polynomial kernels, _convolve (products) and _taylor_shift,
+run on integer numerators over one common denominator, the layout of
+FLINT's fmpq_poly: an operand is scaled to integers over the lcm of its
+denominators (_numerators), and each output coefficient is built once
+over the product of the denominators (_rationals), so a product pays one
+gcd per coefficient, not one per multiply-add.  UniPoly.__mul__ and
+UniPoly.shift call one kernel each; algebra._basis_mul chains both.  An
+integral coefficient comes back as an int, even where the operands held
+Fraction(4); values, equality and hashes are unchanged, since
+Fraction(4) == 4 and hash(Fraction(4)) == hash(4).
 """
 
 from __future__ import annotations
@@ -90,6 +91,40 @@ def _rationals(numerators, den):
     if den == 1:
         return numerators
     return [n // den if n % den == 0 else Fraction(n, den) for n in numerators]
+
+
+def _convolve(a, b):
+    """The coefficients of the product of two int coefficient lists, low to high."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
+def _taylor_shift(a, den, sigma):
+    """(numerators, den) of t |-> p(t + sigma), p having numerators a over
+    den; the list a may be reused.  The classical Taylor shift (von zur
+    Gathen and Gerhard, ISSAC 1997); sigma = 0 returns at once.  With sigma
+    = u/v in lowest terms, scaling the numerator of degree i by v^(n-1-i)
+    turns the shift by u/v into one by u; pass i folds u times each
+    numerator above i into the one below it, n(n-1)/2 int multiply-adds in
+    all; the result of degree i is scaled back by v^i over den*v^(n-1).
+    """
+    if sigma == 0:
+        return a, den
+    u, v = sigma.numerator, sigma.denominator
+    n = len(a)
+    if v != 1:
+        a = [x * v ** (n - 1 - i) for i, x in enumerate(a)]
+    for i in range(n - 1):
+        for j in range(n - 2, i - 1, -1):
+            a[j] += u * a[j + 1]
+    if v != 1:
+        a = [x * v ** i for i, x in enumerate(a)]
+        den *= v ** (n - 1)
+    return a, den
 
 
 def _packing(groups, arity, need):
@@ -500,12 +535,7 @@ class UniPoly:
             return UniPoly(self.symbol)
         a, da = _numerators(self.coeffs)
         b, db = _numerators(other.coeffs)
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b, i):
-                    out[j] += x * y
-        return UniPoly(self.symbol, _rationals(out, da * db))
+        return UniPoly(self.symbol, _rationals(_convolve(a, b), da * db))
 
     __rmul__ = __mul__
 
@@ -519,31 +549,11 @@ class UniPoly:
         return total
 
     def shift(self, sigma):
-        """Return t |-> p(t + sigma), exactly.
-
-        The classical Taylor shift (von zur Gathen and Gerhard, ISSAC 1997)
-        on the integer numerators over the common denominator.  With sigma
-        = u/v in lowest terms, scaling the numerator of degree i by
-        v^(n-1-i) turns the shift by u/v into one by u; pass i folds u
-        times each numerator above i into the one below it, from the top
-        down, n(n-1)/2 int multiply-adds in all; the result of degree i is
-        scaled back by v^i over den*v^(n-1), and one UniPoly is built.
-        """
+        """Return t |-> p(t + sigma), exactly (_taylor_shift on the numerators)."""
         _check_scalar(sigma, "a shift")
         if sigma == 0:
             return self         # immutable, so the identity shift shares it
-        a, den = _numerators(self.coeffs)
-        u, v = sigma.numerator, sigma.denominator
-        n = len(a)
-        if v != 1:
-            a = [x * v ** (n - 1 - i) for i, x in enumerate(a)]
-        for i in range(n - 1):
-            for j in range(n - 2, i - 1, -1):
-                a[j] += u * a[j + 1]
-        if v != 1:
-            a = [x * v ** i for i, x in enumerate(a)]
-            den *= v ** (n - 1)
-        return UniPoly(self.symbol, _rationals(a, den))
+        return UniPoly(self.symbol, _rationals(*_taylor_shift(*_numerators(self.coeffs), sigma)))
 
     def scale_arg(self, a):
         """Return t |-> p(a*t)."""

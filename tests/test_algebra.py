@@ -4,12 +4,13 @@ from fractions import Fraction
 
 import pytest
 
+from capelli import algebra
 from capelli.algebra import (DELTA, F, GENERATORS, THETA, AElement, APresentation,
                              a_add, a_mul, a_neg, a_pow, a_sub, confluence_exhaustive,
                              confluence_fuzz, from_word, graded_components)
 from capelli.bfunction import presentation_for
 from capelli.catalog import instantiate
-from capelli.poly import UniPoly
+from capelli.poly import UniPoly, rational_roots
 
 
 @pytest.fixture(scope="module")
@@ -31,6 +32,12 @@ def random_element(rng, pres, span=2, max_deg=2):
             if not p.is_zero():
                 parts[key] = p
     return AElement(pres, parts)
+
+
+def memo_poly(entry):
+    """The theta-polynomial of a B_shift entry (numerators, den)."""
+    numerators, den = entry
+    return UniPoly(THETA, [Fraction(n, den) for n in numerators])
 
 
 class TestPresentation:
@@ -56,7 +63,8 @@ class TestPresentation:
         filled = APresentation(d=pres4.d, B=pres4.B)
         fresh = APresentation(d=pres4.d, B=pres4.B)
         from_word(filled, [F, F, DELTA, DELTA, F])
-        assert filled.B_shift(-1) == pres4.B.shift(-pres4.d)
+        assert memo_poly(filled.B_shift(-1)) == pres4.B.shift(-pres4.d)
+        assert filled.b_roots() == tuple(rational_roots(pres4.b_monic))
         assert filled == fresh and hash(filled) == hash(fresh)
         assert repr(filled) == repr(fresh)
 
@@ -77,9 +85,11 @@ class TestPresentation:
         assert pres4.d == pres1.d and pres4.B != pres1.B
         a = APresentation(d=pres4.d, B=pres4.B)
         b = APresentation(d=pres1.d, B=pres1.B)
-        for t in (-2, -1, 1, 2):
-            assert a.B_shift(t) == pres4.B.shift(t * pres4.d)
-            assert b.B_shift(t) == pres1.B.shift(t * pres1.d)
+        for t in (-2, -1, 0, 1, 2):
+            assert memo_poly(a.B_shift(t)) == pres4.B.shift(t * pres4.d)
+            assert memo_poly(b.B_shift(t)) == pres1.B.shift(t * pres1.d)
+        assert a.b_roots() == tuple(rational_roots(pres4.b_monic))
+        assert b.b_roots() == tuple(rational_roots(pres1.b_monic)) != a.b_roots()
 
 
 def _reference_mul(x, y):
@@ -120,6 +130,30 @@ def test_words_match_fresh_shifts(key):
         for v, y in nf.items():
             if len(u) + len(v) <= 5:
                 assert a_mul(x, y) == _reference_mul(x, y), (u, v)
+
+
+@pytest.mark.parametrize("key", [(1, 2), (4, 3), (2, 4)], ids=lambda k: "case%d-size%d" % k)
+def test_numerator_chain_matches_reference_property(key):
+    # single basis words with rational theta-polynomials: the one-chain
+    # product equals the reference, and gives an int wherever it can
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    pres = presentation_for(instantiate(*key))
+    coeffs = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7))
+    polys = st.lists(coeffs, min_size=1, max_size=5).map(
+        lambda cs: UniPoly(THETA, cs)).filter(lambda p: not p.is_zero())
+    keys = st.integers(-4, 4)
+
+    @hypothesis.settings(max_examples=100)
+    @hypothesis.given(keys, polys, keys, polys)
+    def chain(k1, p1, k2, p2):
+        x, y = AElement(pres, {k1: p1}), AElement(pres, {k2: p2})
+        got = a_mul(x, y)
+        assert got == _reference_mul(x, y)
+        for p in got.parts.values():
+            assert all(type(c) is int or c.denominator != 1 for c in p.coeffs)
+
+    chain()
 
 
 class TestFromWord:
@@ -277,6 +311,26 @@ class TestConfluence:
     def test_trials_validated(self, pres4):
         with pytest.raises(ValueError):
             confluence_fuzz(pres4, trials=0, seed=1)
+
+    def test_fuzz_forms_both_associations(self, pres4, monkeypatch):
+        # every trial multiplies its split u, v, w as u(vw) and as (uv)w
+        calls = []          # (x, y, x*y), all kept alive so that ids stay unique
+        right = algebra.a_mul
+
+        def spy(x, y):
+            out = right(x, y)
+            calls.append((x, y, out))
+            return out
+
+        monkeypatch.setattr(algebra, "a_mul", spy)
+        report = confluence_fuzz(pres4, trials=40, seed=5)
+        assert report.passed
+        made = {id(out): (x, y) for x, y, out in calls}
+        left_first = {(id(u), id(v), id(w)) for uv, w, _ in calls if id(uv) in made
+                      for u, v in [made[id(uv)]]}
+        right_first = {(id(u), id(v), id(w)) for u, vw, _ in calls if id(vw) in made
+                       for v, w in [made[id(vw)]]}
+        assert len(left_first & right_first) == 40
 
 
 def right_fold(pres, word):

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 import capelli
-from capelli import modules
-from capelli.algebra import DELTA, F, THETA, AElement, from_word
+from capelli import algebra, modules
+from capelli.algebra import DELTA, F, THETA, AElement, APresentation, from_word
 from capelli.bfunction import delta_scalar, presentation_for
 from capelli.catalog import instantiate
 from capelli.modules import (GradedModule, act, break_points, build_ladder,
@@ -123,6 +123,14 @@ class TestValidate:
         with pytest.raises(TypeError):
             validate(T)
 
+    def test_B_is_shifted_once_per_weight(self, pres4, monkeypatch):
+        shifts = []
+        right = UniPoly.shift
+        monkeypatch.setattr(UniPoly, "shift", lambda p, w: shifts.append(w) or right(p, w))
+        T = build_ladder(pres4, Fraction(1, 3), (-3, 4))
+        assert validate(T) == []
+        assert len(T.dims) == 8 and len(shifts) <= 8
+
     def test_non_nilpotent_rejected(self, pres4):
         T = GradedModule(pres4, {Fraction(0): 1})
         T.N[Fraction(0)] = [[1]]
@@ -216,6 +224,15 @@ class TestBreakPoints:
 
     def test_wide_window_costs_nothing_extra(self, pres4):
         assert break_points(pres4, 0, (0, 10**12)) == {0: 1}
+
+    def test_roots_are_found_once(self, pres4, monkeypatch):
+        calls = []
+        right = algebra.rational_roots
+        monkeypatch.setattr(algebra, "rational_roots", lambda p: calls.append(p) or right(p))
+        fresh = APresentation(d=pres4.d, B=pres4.B)
+        got = [break_points(fresh, Fraction(n, 5), (-4, 4)) for n in range(50)]
+        assert len(calls) == 1
+        assert got[0] == {-1: 1, 0: 1} and got[5] == {-2: 1, -1: 1}
 
 
 class TestPsi:
