@@ -5,7 +5,7 @@ the quotient algebra generated by f, theta, Delta, and graded ladder
 modules over it."""
 
 from .algebra import (AElement, APresentation, a_add, a_mul, confluence_exhaustive,
-                      confluence_fuzz, from_word, graded_components)
+                      confluence_fuzz, from_word)
 from .bfunction import (BCertificate, compute_b, presentation_for, verify_all,
                         verify_annihilation, verify_table)
 from .catalog import CaseInstance, CaseSpec, instantiate, list_cases
@@ -23,8 +23,8 @@ __all__ = [
     "GradedModule", "MultiPoly", "NotProportional", "TwistedElement", "UniPoly",
     "WeylOp", "a_add", "a_mul", "break_points", "build_ladder", "compute_b",
     "confluence_exhaustive", "confluence_fuzz", "direct_sum", "equivalence_witness",
-    "eval_expr", "fmt_expr", "from_word", "graded_components", "instantiate",
-    "list_cases", "parse_expr", "presentation_for", "psi_of_ladder",
-    "rational_roots", "twisted_apply", "twisted_canonical", "validate",
-    "verify_all", "verify_annihilation", "verify_table", "weyl_apply", "weyl_mul",
+    "eval_expr", "fmt_expr", "from_word", "instantiate", "list_cases",
+    "parse_expr", "presentation_for", "psi_of_ladder", "rational_roots",
+    "twisted_apply", "twisted_canonical", "validate", "verify_all",
+    "verify_annihilation", "verify_table", "weyl_apply", "weyl_mul",
 ]

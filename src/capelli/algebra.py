@@ -26,11 +26,10 @@ key k = k1 + k2 with polynomial
 where low = min(k, 0), s1 = min(k1, 0) + k2 - low, s2 = min(k2, 0) - low,
 and t runs over |k| <= t < |k| + min(-k1, k2) when k1 < 0 <= k2 (Delta^b f^a
 contracts), over -min(k1, -k2) <= t <= -1 when k2 < 0 <= k1 (f^a Delta^b
-contracts), and over nothing otherwise.  _basis_mul runs it as one chain
-of integer numerators over one denominator (poly's kernels) and builds one
-UniPoly at the end; each B(theta + t*d) is shifted once per t and kept on
-the presentation as (numerators, den) (APresentation.B_shift).  The
-confluence checks compare rewriting orders, computing each product once.
+contracts), and over nothing otherwise.  _basis_mul runs it as UniPoly
+shifts and products; each B(theta + t*d) is shifted once per t and kept
+on the presentation (APresentation.B_shift).  The confluence checks
+compare rewriting orders, computing each product once.
 """
 
 from __future__ import annotations
@@ -40,8 +39,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 
-from .poly import (UniPoly, _check_scalar, _convolve, _numerators, _rationals, _taylor_shift,
-                   format_rational, power, rational_roots)
+from .poly import UniPoly, _check_scalar, format_rational, power, rational_roots
 
 F = "f"
 THETA = "theta"
@@ -91,11 +89,10 @@ class APresentation:
         """The monic b(s) = B(d*s) / c."""
         return (self.B.scale_arg(self.d) * Fraction(1, self.c)).with_symbol("s")
 
-    def B_shift(self, t: int) -> tuple:
-        """B(theta + t*d) as (numerators, den), shifted once per t and kept here."""
+    def B_shift(self, t: int) -> UniPoly:
+        """B(theta + t*d), shifted once per t and kept here."""
         if t not in self._memo:
-            a, den = _taylor_shift(*_numerators(self.B.coeffs), t * self.d)
-            self._memo[t] = (tuple(a), den)
+            self._memo[t] = self.B.shift(t * self.d)
         return self._memo[t]
 
     def b_roots(self) -> tuple:
@@ -196,7 +193,7 @@ def a_sub(x: AElement, y: AElement) -> AElement:
 
 
 def _basis_mul(pres: APresentation, k1: int, p1: UniPoly, k2: int, p2: UniPoly):
-    """Product of two basis words, one numerator chain; returns (key, theta-polynomial)."""
+    """Product of two basis words (module docstring); returns (key, theta-polynomial)."""
     d = pres.d
     k = k1 + k2
     low = min(k, 0)
@@ -205,12 +202,10 @@ def _basis_mul(pres: APresentation, k1: int, p1: UniPoly, k2: int, p2: UniPoly):
         steps = range(abs(k), abs(k) + min(-k1, k2))
     elif k2 < 0 <= k1:
         steps = range(-min(k1, -k2), 0)
-    a, den = _taylor_shift(*_numerators(p1.coeffs), (min(k1, 0) + k2 - low) * d)
+    p = p1.shift((min(k1, 0) + k2 - low) * d)
     for t in steps:
-        b, db = pres.B_shift(t)
-        a, den = _convolve(a, b), den * db
-    b, db = _taylor_shift(*_numerators(p2.coeffs), (min(k2, 0) - low) * d)
-    return k, UniPoly(THETA, _rationals(_convolve(a, b), den * db))
+        p = p * pres.B_shift(t)
+    return k, p * p2.shift((min(k2, 0) - low) * d)
 
 
 def a_mul(x: AElement, y: AElement) -> AElement:
@@ -235,11 +230,6 @@ def from_word(pres: APresentation, word) -> AElement:
     for tok in word:
         out = a_mul(out, _token_element(pres, tok))
     return out
-
-
-def graded_components(x: AElement) -> dict:
-    """Split into theta-adjoint-degree homogeneous pieces, keyed by the degree."""
-    return {k * x.pres.d: AElement(x.pres, {k: p}) for k, p in x.parts.items()}
 
 
 # -- confluence checking ------------------------------------------------

@@ -280,9 +280,9 @@ def element_to_expr(x: AElement):
     """Render a normal-form element as a syntax tree in the shared grammar."""
     terms = []
     for key in sorted(x.parts, reverse=True):
-        p = x.parts[key]
-        for k in range(p.degree(), -1, -1):
-            c = p.coeffs[k]
+        cs = x.parts[key].coeffs
+        for k in range(len(cs) - 1, -1, -1):
+            c = cs[k]
             if c == 0:
                 continue
             factors = []

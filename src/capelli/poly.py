@@ -24,16 +24,14 @@ from its neighbour, so each call chooses the field width from its
 operands' largest exponents; keys are packed on entry and unpacked on
 exit, and .terms stays tuple-keyed.
 
-The theta-polynomial kernels, _convolve (products) and _taylor_shift,
-run on integer numerators over one common denominator, the layout of
-FLINT's fmpq_poly: an operand is scaled to integers over the lcm of its
-denominators (_numerators), and each output coefficient is built once
-over the product of the denominators (_rationals), so a product pays one
-gcd per coefficient, not one per multiply-add.  UniPoly.__mul__ and
-UniPoly.shift call one kernel each; algebra._basis_mul chains both.  An
-integral coefficient comes back as an int, even where the operands held
-Fraction(4); values, equality and hashes are unchanged, since
-Fraction(4) == 4 and hash(Fraction(4)) == hash(4).
+A UniPoly is stored as integer numerators over one positive denominator,
+the layout of FLINT's fmpq_poly: nums[i] / den is the coefficient of
+degree i, with no trailing zero numerator and gcd(den, *nums) == 1, so
+each value has one stored form (the zero polynomial is () over 1).
+Sums, products and shifts run on the numerators, in ints, and reduce by
+one gcd per result, not one per multiply-add; the product and the Taylor
+shift are the private kernels _convolve and _taylor_shift.  The read-only
+coeffs gives the rationals, an int wherever a coefficient is integral.
 """
 
 from __future__ import annotations
@@ -42,8 +40,8 @@ import heapq
 from fractions import Fraction
 from functools import reduce
 from itertools import repeat
-from math import lcm
-from operator import add as _add, attrgetter, floordiv, mul as _mul, neg as _neg, or_, sub as _sub
+from math import gcd, lcm
+from operator import add as _add, mul as _mul, neg as _neg, or_, sub as _sub
 
 
 def ratio(a, b):
@@ -71,26 +69,6 @@ def _nonzero(terms):
     for k in [k for k, c in terms.items() if c == 0]:
         del terms[k]
     return terms
-
-
-_numerator = attrgetter("numerator")
-_denominator = attrgetter("denominator")
-
-
-def _numerators(coeffs):
-    """(numerators, den) with coeffs[i] == numerators[i] / den, den the lcm of the denominators."""
-    dens = list(map(_denominator, coeffs))
-    den = lcm(*dens)
-    if den == 1:                # most operands in the quotient algebra: skip the scaling
-        return list(map(_numerator, coeffs)), 1
-    return list(map(_mul, map(_numerator, coeffs), map(floordiv, repeat(den), dens))), den
-
-
-def _rationals(numerators, den):
-    """The coefficients numerators[i] / den: an int where integral, else one Fraction."""
-    if den == 1:
-        return numerators
-    return [n // den if n % den == 0 else Fraction(n, den) for n in numerators]
 
 
 def _convolve(a, b):
@@ -432,20 +410,42 @@ class MultiPoly(TermMap):
 
 
 class UniPoly:
-    """Dense univariate polynomial with a symbol tag ('s' or 'theta').
-
-    Coefficients are stored low to high with no trailing zeros; the zero
-    polynomial is the empty tuple.
+    """Dense univariate polynomial with a symbol tag ('s' or 'theta'): the int
+    numerators nums, low to high, over the int den, canonical (module docstring).
     """
 
-    __slots__ = ("symbol", "coeffs")
+    __slots__ = ("symbol", "nums", "den")
 
     def __init__(self, symbol: str, coeffs=()):
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
+        cs = tuple(coeffs)
+        den = lcm(*(c.denominator for c in cs))
+        self._set(symbol, [c.numerator * (den // c.denominator) for c in cs], den)
+
+    @classmethod
+    def _raw(cls, symbol, nums, den):
+        """The polynomial with coefficients nums[i] / den (nums a list, den > 0)."""
+        return cls.__new__(cls)._set(symbol, nums, den)
+
+    def _set(self, symbol, nums, den):
+        while nums and nums[-1] == 0:
+            nums.pop()
+        if den != 1:
+            g = gcd(den, *nums)
+            if g != 1:
+                nums = [x // g for x in nums]
+                den //= g
         self.symbol = symbol
-        self.coeffs = tuple(cs)
+        self.nums = tuple(nums)
+        self.den = den
+        return self
+
+    @property
+    def coeffs(self):
+        """The coefficients low to high: an int where integral, else a Fraction."""
+        den = self.den
+        if den == 1:
+            return self.nums
+        return tuple(n // den if n % den == 0 else Fraction(n, den) for n in self.nums)
 
     # -- constructors -------------------------------------------------
 
@@ -474,23 +474,21 @@ class UniPoly:
     # -- queries -------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def leading(self):
-        if not self.coeffs:
-            return 0
-        return self.coeffs[-1]
+        return ratio(self.nums[-1], self.den) if self.nums else 0
 
     def __eq__(self, other):
         if not isinstance(other, UniPoly):
             return NotImplemented
-        return self.symbol == other.symbol and self.coeffs == other.coeffs
+        return self.symbol == other.symbol and self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        return hash((self.symbol, self.coeffs))
+        return hash((self.symbol, self.den, self.nums))
 
     def __repr__(self):
         return f"UniPoly({self.format()})"
@@ -505,18 +503,20 @@ class UniPoly:
         if not isinstance(other, UniPoly):
             other = UniPoly.constant(self.symbol, other)
         self._check(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
+        a, b = self, other
+        if len(a.nums) < len(b.nums):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return UniPoly(self.symbol, out)
+        den = lcm(a.den, b.den)
+        out = list(a.nums) if den == a.den else [x * (den // a.den) for x in a.nums]
+        scale = den // b.den
+        for i, y in enumerate(b.nums):
+            out[i] += y * scale
+        return UniPoly._raw(self.symbol, out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return UniPoly(self.symbol, tuple(-c for c in self.coeffs))
+        return UniPoly._raw(self.symbol, [-x for x in self.nums], self.den)
 
     def __sub__(self, other):
         return self + (-other)
@@ -525,17 +525,14 @@ class UniPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        """Product by a scalar, or by a UniPoly: a convolution of integer
-        numerators, divided once per output coefficient (module docstring)."""
+        """Product by a scalar, or by a UniPoly (a convolution of the numerators)."""
         if not isinstance(other, UniPoly):
             _check_scalar(other, "a scalar factor")
-            return UniPoly(self.symbol, tuple(c * other for c in self.coeffs))
+            u = other.numerator
+            return UniPoly._raw(self.symbol, [x * u for x in self.nums],
+                                self.den * other.denominator)
         self._check(other)
-        if self.is_zero() or other.is_zero():
-            return UniPoly(self.symbol)
-        a, da = _numerators(self.coeffs)
-        b, db = _numerators(other.coeffs)
-        return UniPoly(self.symbol, _rationals(_convolve(a, b), da * db))
+        return UniPoly._raw(self.symbol, _convolve(self.nums, other.nums), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -543,17 +540,21 @@ class UniPoly:
         return power(self, n, UniPoly.constant(self.symbol, 1), _mul)
 
     def evaluate(self, x):
+        """p(x) at a rational x = u/v: Horner on the ints nums[i] * u^i * v^(n-1-i)."""
+        u, v = x.numerator, x.denominator
         total = 0
-        for c in reversed(self.coeffs):
-            total = total * x + c
-        return total
+        scale = 1               # v^(n-1-i) at the numerator of degree i
+        for c in reversed(self.nums):
+            total = total * u + c * scale
+            scale *= v
+        return ratio(total * v, self.den * scale)     # scale = v^n
 
     def shift(self, sigma):
         """Return t |-> p(t + sigma), exactly (_taylor_shift on the numerators)."""
         _check_scalar(sigma, "a shift")
-        if sigma == 0:
+        if sigma == 0 or not self.nums:
             return self         # immutable, so the identity shift shares it
-        return UniPoly(self.symbol, _rationals(*_taylor_shift(*_numerators(self.coeffs), sigma)))
+        return UniPoly._raw(self.symbol, *_taylor_shift(list(self.nums), self.den, sigma))
 
     def scale_arg(self, a):
         """Return t |-> p(a*t)."""
@@ -569,11 +570,11 @@ class UniPoly:
         """Split into (leading coefficient, monic polynomial)."""
         if self.is_zero():
             raise ValueError("zero polynomial has no monic form")
-        lead = self.coeffs[-1]
+        lead = self.leading()
         return lead, UniPoly(self.symbol, tuple(ratio(c, lead) for c in self.coeffs))
 
     def with_symbol(self, symbol):
-        return UniPoly(symbol, self.coeffs)
+        return UniPoly._raw(symbol, list(self.nums), self.den)
 
     def deflate(self, r):
         """Divide by (t - r); returns (quotient, remainder value)."""
@@ -586,9 +587,9 @@ class UniPoly:
         return UniPoly(self.symbol, list(reversed(quot))), rem
 
     def format(self) -> str:
-        return _join_terms((self.coeffs[k], _power_text(self.symbol, k))
-                           for k in range(len(self.coeffs) - 1, -1, -1)
-                           if self.coeffs[k] != 0)
+        cs = self.coeffs
+        return _join_terms((cs[k], _power_text(self.symbol, k))
+                           for k in range(len(cs) - 1, -1, -1) if cs[k] != 0)
 
 
 def _divisors(n: int):
@@ -623,14 +624,13 @@ def rational_roots(p: UniPoly):
         work.pop(0)
     if len(work) <= 1:
         return sorted(roots)
-    ints, _ = _numerators(work)         # clear denominators
-    a0, an = ints[0], ints[-1]
+    cur = UniPoly(p.symbol, work)
+    a0, an = cur.nums[0], cur.nums[-1]      # the integer numerators
     candidates = set()
     for num in _divisors(a0):
         for den in _divisors(an):
             candidates.add(Fraction(num, den))
             candidates.add(Fraction(-num, den))
-    cur = UniPoly(p.symbol, work)
     for r in sorted(candidates):
         while not cur.is_zero() and cur.degree() >= 1 and cur.evaluate(r) == 0:
             cur, rem = cur.deflate(r)

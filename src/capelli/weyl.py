@@ -271,13 +271,6 @@ def twisted_apply(a: WeylOp, e: TwistedElement, f: MultiPoly) -> TwistedElement:
     return twisted_canonical(acc, f)
 
 
-def twisted_specialize(e: TwistedElement, k: int, f: MultiPoly) -> MultiPoly:
-    """Substitute s = k (integer >= level) and return the plain polynomial q|_{s=k} * f^(k-m)."""
-    if k < e.m:
-        raise ValueError(f"cannot specialize s={k} below level {e.m}")
-    return e.q.substitute_last(k) * f ** (k - e.m)
-
-
 def twisted_scalar_profile(e: TwistedElement, f: MultiPoly, offset: int) -> UniPoly:
     """Interpret e as rho(s) * f^(s+offset) and return rho as a UniPoly in s.
 

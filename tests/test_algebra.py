@@ -7,7 +7,7 @@ import pytest
 from capelli import algebra
 from capelli.algebra import (DELTA, F, GENERATORS, THETA, AElement, APresentation,
                              a_add, a_mul, a_neg, a_pow, a_sub, confluence_exhaustive,
-                             confluence_fuzz, from_word, graded_components)
+                             confluence_fuzz, from_word)
 from capelli.bfunction import presentation_for
 from capelli.catalog import instantiate
 from capelli.poly import UniPoly, rational_roots
@@ -34,10 +34,9 @@ def random_element(rng, pres, span=2, max_deg=2):
     return AElement(pres, parts)
 
 
-def memo_poly(entry):
-    """The theta-polynomial of a B_shift entry (numerators, den)."""
-    numerators, den = entry
-    return UniPoly(THETA, [Fraction(n, den) for n in numerators])
+def graded_components(x):
+    """The theta-adjoint-degree homogeneous pieces of x, keyed by the degree."""
+    return {k * x.pres.d: AElement(x.pres, {k: p}) for k, p in x.parts.items()}
 
 
 class TestPresentation:
@@ -63,7 +62,7 @@ class TestPresentation:
         filled = APresentation(d=pres4.d, B=pres4.B)
         fresh = APresentation(d=pres4.d, B=pres4.B)
         from_word(filled, [F, F, DELTA, DELTA, F])
-        assert memo_poly(filled.B_shift(-1)) == pres4.B.shift(-pres4.d)
+        assert filled.B_shift(-1) == pres4.B.shift(-pres4.d)
         assert filled.b_roots() == tuple(rational_roots(pres4.b_monic))
         assert filled == fresh and hash(filled) == hash(fresh)
         assert repr(filled) == repr(fresh)
@@ -86,10 +85,22 @@ class TestPresentation:
         a = APresentation(d=pres4.d, B=pres4.B)
         b = APresentation(d=pres1.d, B=pres1.B)
         for t in (-2, -1, 0, 1, 2):
-            assert memo_poly(a.B_shift(t)) == pres4.B.shift(t * pres4.d)
-            assert memo_poly(b.B_shift(t)) == pres1.B.shift(t * pres1.d)
+            assert a.B_shift(t) == pres4.B.shift(t * pres4.d)
+            assert b.B_shift(t) == pres1.B.shift(t * pres1.d)
         assert a.b_roots() == tuple(rational_roots(pres4.b_monic))
         assert b.b_roots() == tuple(rational_roots(pres1.b_monic)) != a.b_roots()
+
+
+def test_theta_products_run_through_unipoly(pres4, monkeypatch):
+    # a basis product shifts and multiplies UniPolys, the methods the tracer times
+    pres = APresentation(d=pres4.d, B=pres4.B)
+    delta, f2 = from_word(pres, [DELTA]), from_word(pres, [F, F])
+    calls = []
+    mul, shift = UniPoly.__mul__, UniPoly.shift
+    monkeypatch.setattr(UniPoly, "__mul__", lambda p, q: calls.append("mul") or mul(p, q))
+    monkeypatch.setattr(UniPoly, "shift", lambda p, s: calls.append("shift") or shift(p, s))
+    assert a_mul(delta, f2) == from_word(pres4, [DELTA, F, F])
+    assert {"mul", "shift"} <= set(calls)
 
 
 def _reference_mul(x, y):

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -381,6 +381,59 @@ class TestCommonDenominatorKernel:
             assert_same_poly(p.shift(sigma), UniPoly("theta", schoolbook_shift(p.coeffs, sigma)))
 
         shifted()
+
+
+def assert_canonical(p):
+    """p is stored as int numerators over a positive int denominator, in lowest terms."""
+    assert type(p.den) is int and p.den > 0
+    assert all(type(n) is int for n in p.nums)
+    assert not p.nums or p.nums[-1] != 0
+    assert gcd(p.den, *p.nums) == 1
+
+
+class TestCanonicalStorage:
+    """One stored form per value: no trailing zero numerator, den > 0, gcd(den, *nums) == 1."""
+
+    def test_storage_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        # ints and Fractions whose denominators share factors, then trailing zeros
+        rationals = st.one_of(st.integers(-12, 12), st.builds(
+            Fraction, st.integers(-12, 12), st.sampled_from([1, 2, 3, 4, 6, 9, 12])))
+        lists = st.tuples(st.lists(rationals, max_size=6),
+                          st.lists(st.sampled_from([0, Fraction(0)]), max_size=3))
+        coeff_lists = lists.map(lambda parts: parts[0] + parts[1])
+
+        @hypothesis.settings(max_examples=400)
+        @hypothesis.given(coeff_lists, coeff_lists, rationals)
+        def canonical(a, b, c):
+            p, q = UniPoly("s", a), UniPoly("s", b)
+            for r in (p, q, p + q, p - q, -p, p * q, p * c, c * p, p.shift(c),
+                      p.scale_arg(c), p.with_symbol("theta")):
+                assert_canonical(r)
+            # coeffs gives the input back, an int wherever a value is integral
+            values = list(a)
+            while values and values[-1] == 0:
+                values.pop()
+            assert list(p.coeffs) == values
+            assert all(type(v) is (int if v.denominator == 1 else Fraction) for v in p.coeffs)
+            # equal values are equal and hash equal, however they were reached
+            for one, other in ((p, UniPoly("s", map(Fraction, a))), ((p + q) - q, p),
+                               (p * q, q * p), (p * 2 * Fraction(1, 2), p)):
+                assert one == other and hash(one) == hash(other)
+
+        canonical()
+
+    def test_zero_is_empty_over_one(self):
+        zero = UniPoly("s", (0, Fraction(0, 5)))
+        assert (zero.nums, zero.den) == ((), 1)
+        assert zero.shift(Fraction(1, 3)) is zero
+        assert UniPoly("s", (Fraction(1, 2),)) * 0 == zero
+
+    def test_float_coefficient_raises(self):
+        # the bare constructor reads .numerator and .denominator
+        with pytest.raises(AttributeError):
+            UniPoly("s", (1, 0.5))
 
 
 class TestRationalRoots:
