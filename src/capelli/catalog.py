@@ -16,6 +16,7 @@ a determinant or Pfaffian along its last column and shares the minors.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -292,8 +293,11 @@ def instantiate(case_id: int, size: int) -> CaseInstance:
     """Build f, Delta, theta for a catalog case at the given size.
 
     One shared instance, memo included, per (case, size) for the whole
-    process (lru_cache); dataclasses.replace gives a copy with a private memo."""
+    process (lru_cache); dataclasses.replace gives a copy with a private memo.
+    A size past the index range is refused before any builder runs."""
     spec = case_spec(case_id)
+    if size > sys.maxsize:
+        raise ValueError(f"size past the index range: at most {sys.maxsize}")
     if not spec.valid_size(size):
         raise ValueError(
             f"invalid size {size} for case ({case_id}): size rule is {spec.size_rule}")

@@ -10,9 +10,10 @@ matrix identities:
     F_{alpha-d} D_alpha = B((alpha-d)*I + N_alpha)      (f Delta = B(theta-d))
 
 together with the intertwining F N = N F and D N = N D across edges.
-On the space at alpha theta acts as alpha*I + N_alpha, so p(w*I + N_alpha)
-is mat_poly(p.shift(w), N_alpha): validate and act_component evaluate
-every theta polynomial so, validate shifting B once per weight it meets.
+On the space at alpha theta acts as alpha*I + N_alpha with N_alpha
+nilpotent, so validate (for B) and act_component (for the theta factor of a
+basis word) evaluate a theta polynomial p there by its Taylor expansion at
+the weight, mat_poly(p, alpha, N_alpha), which is p(alpha)*I at N_alpha = 0.
 
 Ladder constructors realize the rank-one modules spanned by the powers
 f^(k+lambda).  One builder lays out the shared skeleton (weights, N = 0,
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
 from itertools import chain
 from typing import Optional
 
@@ -73,14 +73,19 @@ def mat_is_zero(m):
     return all(all(x == 0 for x in row) for row in m)
 
 
-def mat_poly(p: UniPoly, m):
-    """Evaluate a univariate polynomial at a square matrix (Horner)."""
-    n = len(m)
-    out = mat_zeros(n, n)
-    for c in reversed(p.coeffs):
-        out = mat_mul(out, m)
-        for i in range(n):
-            out[i][i] += c
+def mat_poly(p: UniPoly, alpha, n):
+    """p(alpha*I + n) for a square matrix n, by p's Taylor expansion at alpha:
+    p(alpha)*I plus, for k = 1, 2, ..., the value at alpha of the k-th
+    quotient of p by (t - alpha) times n^k, until n^k vanishes or k > deg p.
+    Exact for any square n, and p(alpha)*I at n = 0."""
+    c = p.evaluate(alpha)
+    out = [[c if i == j else 0 for j in range(len(n))] for i in range(len(n))]
+    power = n
+    while p.degree() > 0 and not mat_is_zero(power):
+        p = p.deflate(alpha)[0]
+        c = p.evaluate(alpha)
+        out = mat_add(out, [[c * x for x in row] for row in power])
+        power = mat_mul(power, n)
     return out
 
 
@@ -160,8 +165,7 @@ def validate(T: GradedModule) -> list:
     entries = (x for m in matrices for row in m for x in row)
     for x in chain(T.dims, T.F, T.D, T.N, T.f_boundary, T.d_boundary, entries):
         _check_scalar(x, "a weight or matrix entry")
-    d = T.pres.d
-    B_at = cache(T.pres.B.shift)        # B(theta + w), shifted once per weight w
+    d, B = T.pres.d, T.pres.B
     out = []
     for alpha in T.weights:
         n_a = T.n_at(alpha)
@@ -176,14 +180,14 @@ def validate(T: GradedModule) -> list:
             if mat_mul(f_a, n_a) != mat_mul(T.n_at(up), f_a):
                 out.append(Violation(alpha, "FN", "F does not intertwine N"))
             # up then down: D_{a+d} F_a = B(a*I + N_a)
-            if mat_mul(T.d_at(up), f_a) != mat_poly(B_at(alpha), n_a):
+            if mat_mul(T.d_at(up), f_a) != mat_poly(B, alpha, n_a):
                 out.append(Violation(alpha, "delta-f", "D.F != B(theta) at this weight"))
         if has_down:
             d_a = T.d_at(alpha)
             if mat_mul(d_a, n_a) != mat_mul(T.n_at(down), d_a):
                 out.append(Violation(alpha, "DN", "D does not intertwine N"))
             # down then up: F_{a-d} D_a = B((a-d)*I + N_a)
-            if mat_mul(T.f_at(down), d_a) != mat_poly(B_at(down), n_a):
+            if mat_mul(T.f_at(down), d_a) != mat_poly(B, down, n_a):
                 out.append(Violation(alpha, "f-delta", "F.D != B(theta-d) at this weight"))
     return out
 
@@ -366,7 +370,7 @@ def act_component(T: GradedModule, key: int, p: UniPoly, alpha):
         return None
     cur = alpha
     if key >= 0:
-        m = mat_poly(p.shift(alpha), T.n_at(alpha))
+        m = mat_poly(p, alpha, T.n_at(alpha))
         for _ in range(key):
             if cur + d not in T.dims or cur in T.f_boundary:
                 return None
@@ -379,7 +383,7 @@ def act_component(T: GradedModule, key: int, p: UniPoly, alpha):
             return None
         m = mat_mul(T.d_at(cur), m)
         cur = cur - d
-    return cur, mat_mul(mat_poly(p.shift(cur), T.n_at(cur)), m)
+    return cur, mat_mul(mat_poly(p, cur, T.n_at(cur)), m)
 
 
 def act(T: GradedModule, x: AElement, alpha) -> dict:

@@ -5,7 +5,6 @@ criteria execute.  Everything is exact rational arithmetic; "tolerance"
 is zero throughout.
 """
 
-import itertools
 import random
 import subprocess
 import sys
@@ -16,15 +15,12 @@ from fractions import Fraction
 import pytest
 
 from capelli import bfunction
-from capelli.algebra import (DELTA, F, THETA, confluence_exhaustive, confluence_fuzz,
-                             from_word)
+from capelli.algebra import confluence_exhaustive, confluence_fuzz
 from capelli.cli import main as cli_main
 from capelli.expr import BinOp, Pow, RatLit, Sym, fmt_expr, parse_expr
-from capelli.modules import (act, break_points, build_ladder, equivalence_witness,
-                             ladder_weight, psi_of_ladder, validate)
+from capelli.modules import break_points, build_ladder, equivalence_witness, validate
 from capelli.poly import UniPoly, rational_roots
-from capelli.weyl import (WeylOp, commutator, f_power_element, twisted_apply,
-                          twisted_scalar_profile)
+from capelli.weyl import WeylOp, commutator
 
 
 @contextmanager
@@ -111,49 +107,11 @@ def test_criterion_4_rewriting_soundness(min_presentations):
         assert time.time() - start < 60
 
 
-def _generator_words(max_len):
-    for length in range(1, max_len + 1):
-        yield from itertools.product((F, THETA, DELTA), repeat=length)
-
-
-_GENERATOR_OPS = {
-    F: lambda inst: WeylOp.from_poly(inst.f),
-    THETA: lambda inst: inst.theta,
-    DELTA: lambda inst: inst.delta,
-}
-
-
-def test_criterion_5_oracle_faithfulness(min_instances, min_presentations):
+def test_criterion_5_oracle_faithfulness(min_instances, min_presentations,
+                                        words_act_on_psi_ladders):
     with criterion(5, "normal forms and twisted action agree on ladders"):
-        lo, hi = -2, 3
         for key in [(1, 2), (4, 2)]:
-            inst = min_instances[key]
-            pres = min_presentations[key]
-            ops = {name: make(inst) for name, make in _GENERATOR_OPS.items()}
-            # the twisted images carry a symbolic exponent and do not depend on
-            # lambda, so compute them once per (word, k) and evaluate per twist
-            profiles = []
-            for word in _generator_words(4):
-                element = from_word(pres, list(word))
-                weyl_word = ops[word[0]]
-                for name in word[1:]:
-                    weyl_word = weyl_word * ops[name]
-                shift = word.count(F) - word.count(DELTA)
-                for k in range(lo, hi + 1):
-                    if not lo <= k + shift <= hi:
-                        continue
-                    image = twisted_apply(weyl_word, f_power_element(k, inst.f), inst.f)
-                    profile = twisted_scalar_profile(image, inst.f, k + shift)
-                    profiles.append((word, element, k, shift, profile))
-            for lam in (Fraction(0), Fraction(1, 2), Fraction(-1)):
-                ladder = psi_of_ladder(inst, lam, (lo, hi), pres=pres)
-                for word, element, k, shift, profile in profiles:
-                    direct = profile.evaluate(lam)
-                    alpha = ladder_weight(pres, lam, k)
-                    target = ladder_weight(pres, lam, k + shift)
-                    via_algebra = act(ladder, element, alpha)
-                    assert list(via_algebra) == [target], (key, lam, word, k)
-                    assert via_algebra[target] == [[direct]], (key, lam, word, k)
+            words_act_on_psi_ladders(min_instances[key], min_presentations[key], 4, (-2, 3))
 
 
 def test_criterion_6_equivalence_witness(min_instances, min_presentations):

@@ -103,32 +103,42 @@ def test_theta_products_run_through_unipoly(pres4, monkeypatch):
     assert {"mul", "shift"} <= set(calls)
 
 
-def _reference_mul(x, y):
-    """a_mul by the closed-form rule, each B(theta + t*d) shifted afresh."""
-    pres = x.pres
-    d, B = pres.d, pres.B
-    out = AElement.zero(pres)
-    for k1, p1 in x.parts.items():
-        for k2, p2 in y.parts.items():
-            k = k1 + k2
-            low = min(k, 0)
-            steps = ()
-            if k1 < 0 <= k2:
-                steps = range(abs(k), abs(k) + min(-k1, k2))
-            elif k2 < 0 <= k1:
-                steps = range(-min(k1, -k2), 0)
-            p = p1.shift((min(k1, 0) + k2 - low) * d)
-            for t in steps:
-                p = p * B.shift(t * d)
-            p = p * p2.shift((min(k2, 0) - low) * d)
-            out = a_add(out, AElement(pres, {k: p}))
-    return out
+E0 = {0: UniPoly.constant("s", 1)}       # f^s, the vector e_0
 
 
-@pytest.mark.parametrize("key", [(1, 2), (4, 3), (2, 4)], ids=lambda k: "case%d-size%d" % k)
-def test_words_match_fresh_shifts(key):
-    # the normal forms u, v of every two generator words with |u| + |v| <= 5:
-    # a_mul, on a presentation whose memo starts empty, equals the reference
+def _act(x, vector):
+    """x applied to sum_j c_j(s) e_j in the faithful module of sums of
+    Q[s] f^(s+k): theta e_k = d(s+k) e_k, f e_k = e_(k+1), and
+    Delta e_k = B(d(s+k-1)) e_(k-1).  A theta-polynomial p meets e_j as
+    p(d(s+j)), read off p itself, never off APresentation.B_shift."""
+    d = x.pres.d
+
+    def at(p, j):
+        return p.scale_arg(d).with_symbol("s").shift(j)
+
+    out = {}
+    for key, p in x.parts.items():
+        for j, c in vector.items():
+            if key >= 0:
+                c, j = at(p, j) * c, j + key
+            else:
+                for _ in range(-key):
+                    c, j = at(x.pres.B, j - 1) * c, j - 1
+                c = at(p, j) * c
+            out[j] = out[j] + c if j in out else c
+    return {j: c for j, c in out.items() if not c.is_zero()}
+
+
+def _acts_as_product(x, y):
+    """a_mul(x, y) e_0 == x (y e_0); on e_0 the action is faithful, so this
+    pins the product itself."""
+    return _act(a_mul(x, y), E0) == _act(x, _act(y, E0))
+
+
+def _failing_short_pairs(key):
+    """The pairs (u, v) of generator words with |u| + |v| <= 5 whose normal
+    forms a_mul multiplies wrongly, on a presentation whose memo starts
+    empty; the normal forms are grown one generator at a time."""
     built = presentation_for(instantiate(*key))
     pres = APresentation(d=built.d, B=built.B)
     nf = {(): AElement.scalar(pres, 1)}
@@ -136,17 +146,26 @@ def test_words_match_fresh_shifts(key):
     for _ in range(5):
         layer = [w + (g,) for w in layer for g in GENERATORS]
         for w in layer:
-            nf[w] = _reference_mul(nf[w[:-1]], AElement.generator(pres, w[-1]))
-    for u, x in nf.items():
-        for v, y in nf.items():
-            if len(u) + len(v) <= 5:
-                assert a_mul(x, y) == _reference_mul(x, y), (u, v)
+            nf[w] = a_mul(nf[w[:-1]], AElement.generator(pres, w[-1]))
+    pairs = [(u, v) for u in nf for v in nf if len(u) + len(v) <= 5]
+    assert len(pairs) == 2005
+    return [(u, v) for u, v in pairs if not _acts_as_product(nf[u], nf[v])]
+
+
+@pytest.mark.parametrize("key", [(1, 2), (4, 3), (2, 4)], ids=lambda k: "case%d-size%d" % k)
+def test_words_match_fresh_shifts(key):
+    assert _failing_short_pairs(key) == []
+
+
+@pytest.mark.parametrize("key", [(1, 2), (4, 3), (2, 4)], ids=lambda k: "case%d-size%d" % k)
+def test_short_words_catch_planted_fault(key, planted_fault):
+    assert len(_failing_short_pairs(key)) == 28
 
 
 @pytest.mark.parametrize("key", [(1, 2), (4, 3), (2, 4)], ids=lambda k: "case%d-size%d" % k)
 def test_numerator_chain_matches_reference_property(key):
     # single basis words with rational theta-polynomials: the one-chain
-    # product equals the reference, and gives an int wherever it can
+    # product acts as the product, and gives an int wherever it can
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     pres = presentation_for(instantiate(*key))
@@ -159,8 +178,8 @@ def test_numerator_chain_matches_reference_property(key):
     @hypothesis.given(keys, polys, keys, polys)
     def chain(k1, p1, k2, p2):
         x, y = AElement(pres, {k1: p1}), AElement(pres, {k2: p2})
+        assert _acts_as_product(x, y)
         got = a_mul(x, y)
-        assert got == _reference_mul(x, y)
         for p in got.parts.values():
             assert all(type(c) is int or c.denominator != 1 for c in p.coeffs)
 

@@ -1,9 +1,11 @@
+import dataclasses
 import json
+import sys
 import time
 
 import pytest
 
-from capelli import bfunction
+from capelli import bfunction, catalog
 from capelli.cli import main
 from capelli.poly import UniPoly
 from capelli.weyl import NotProportional
@@ -15,6 +17,15 @@ def run_cli(args):
         return main(args)
     except SystemExit as exc:
         return exc.code
+
+
+@pytest.fixture
+def recorded_builds(monkeypatch):
+    """Every catalog row's builder records its size and returns nothing."""
+    built = []
+    rows = [dataclasses.replace(spec, build=built.append) for spec in catalog.CASES]
+    monkeypatch.setattr(catalog, "CASES", rows)
+    return built
 
 
 class TestCatalogList:
@@ -233,6 +244,22 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"error: bad window {text[:40]!r}: expected a:b with integers\n"
+
+    HUGE = "99999999999999999999"
+
+    @pytest.mark.parametrize("args", [
+        ["bs", "compute", "--case", "1", "--size", HUGE],
+        ["module", "ladder", "--case", "2", "--size", HUGE, "--lambda", "0", "--window", "0:1"],
+    ], ids=["bs-compute", "module-ladder"])
+    def test_size_past_the_index_range(self, args, capsys, recorded_builds):
+        assert run_cli(args) == 2
+        out, err = capsys.readouterr()
+        assert (out, recorded_builds) == ("", [])
+        assert err == f"error: size past the index range: at most {sys.maxsize}\n"
+        # the largest index-sized size still reaches its builder
+        with pytest.raises(TypeError):
+            catalog.instantiate(1, sys.maxsize)
+        assert recorded_builds == [sys.maxsize]
 
     def test_negative_window_ends(self, capsys):
         assert run_cli(["module", "breaks", "--case", "4", "--size", "2",

@@ -17,6 +17,16 @@ from capelli.poly import MultiPoly, UniPoly
 from capelli.weyl import NotProportional
 
 
+def horner(p, m):
+    """p(m) for a square matrix m by Horner's rule on the full matrix."""
+    size = len(m)
+    out = [[0] * size for _ in range(size)]
+    for c in reversed(p.coeffs):
+        out = [[sum(out[i][k] * m[k][j] for k in range(size)) + (c if i == j else 0)
+                for j in range(size)] for i in range(size)]
+    return out
+
+
 @pytest.fixture(scope="module")
 def inst4():
     return instantiate(4, 2)
@@ -92,7 +102,7 @@ class TestValidate:
             else:
                 T.f_boundary.add(a)
             if a - d in dims:
-                T.D[a] = mat_poly(pres4.B, theta_on(a - d))
+                T.D[a] = horner(pres4.B, theta_on(a - d))
             else:
                 T.d_boundary.add(a)
         assert validate(T) == []
@@ -102,7 +112,7 @@ class TestValidate:
             from_word(pres4, w) for w in ([THETA], [DELTA, F], [F, THETA], [THETA, DELTA]))
         for a in weights:
             assert act(T, theta, a) == {a: theta_on(a)}
-            assert act(T, delta_f, a) == {a: mat_poly(pres4.B, theta_on(a))}
+            assert act(T, delta_f, a) == {a: horner(pres4.B, theta_on(a))}
         low, high = weights[1], weights[2]
         assert act(T, f_theta, low) == {high: mat_mul(T.F[low], theta_on(low))}
         assert act(T, theta_delta, high) == {low: mat_mul(theta_on(low), T.D[high])}
@@ -123,13 +133,14 @@ class TestValidate:
         with pytest.raises(TypeError):
             validate(T)
 
-    def test_B_is_shifted_once_per_weight(self, pres4, monkeypatch):
+    def test_semisimple_ladder_shifts_nothing(self, pres4, monkeypatch):
+        # B is evaluated at each weight, never Taylor-shifted to it
         shifts = []
         right = UniPoly.shift
         monkeypatch.setattr(UniPoly, "shift", lambda p, w: shifts.append(w) or right(p, w))
         T = build_ladder(pres4, Fraction(1, 3), (-3, 4))
         assert validate(T) == []
-        assert len(T.dims) == 8 and len(shifts) <= 8
+        assert len(T.dims) == 8 and shifts == []
 
     def test_non_nilpotent_rejected(self, pres4):
         T = GradedModule(pres4, {Fraction(0): 1})
@@ -137,6 +148,34 @@ class TestValidate:
         T.f_boundary.add(Fraction(0))
         T.d_boundary.add(Fraction(0))
         assert [v.kind for v in validate(T)] == ["nilpotent"]
+
+
+def test_mat_poly_is_horner_at_alpha_plus_n_property():
+    # p(alpha*I + n) for strictly upper-triangular n of size 1-4, against
+    # Horner on the full matrix; n = 0 and deg p below the nilpotency
+    # index are pinned as examples
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5))
+    alphas = st.one_of(st.integers(-6, 6), rationals)
+    polys = st.lists(rationals, max_size=6).map(lambda cs: UniPoly(THETA, cs))
+    nilpotents = st.integers(1, 4).flatmap(lambda size: st.lists(
+        st.one_of(st.integers(-3, 3), rationals), min_size=size * size, max_size=size * size
+    ).map(lambda xs: [[xs[i * size + j] if j > i else 0 for j in range(size)]
+                      for i in range(size)]))
+    jordan = [[1 if j == i + 1 else 0 for j in range(4)] for i in range(4)]
+
+    @hypothesis.settings(max_examples=200)
+    @hypothesis.given(polys, alphas, nilpotents)
+    @hypothesis.example(UniPoly(THETA, (1, 2, 3)), 2, [[0]])
+    @hypothesis.example(UniPoly(THETA, (Fraction(1, 2), 3)), Fraction(-1, 3), jordan)
+    @hypothesis.example(UniPoly(THETA, (1, 0, 0, 0, 0, 7)), 1, jordan)
+    def check(p, alpha, n):
+        full = [[x + (alpha if i == j else 0) for j, x in enumerate(row)]
+                for i, row in enumerate(n)]
+        assert mat_poly(p, alpha, n) == horner(p, full)
+
+    check()
 
 
 class TestBuildLadder:
@@ -298,41 +337,9 @@ class TestWordFaithfulness:
         ((2, 2), 2, 2), ((3, 4), 2, 2), ((5, 2), 2, 2), ((6, 8), 2, 2),
         ((7, 7), 2, 2), ((8, 4), 1, 1),
     ])
-    def test_short_words(self, key, max_len, hi, min_instances, min_presentations):
-        import itertools
-
-        from capelli.weyl import (WeylOp, f_power_element, twisted_apply,
-                                  twisted_scalar_profile)
-
-        inst = min_instances[key]
-        pres = min_presentations[key]
-        ops = {F: WeylOp.from_poly(inst.f), THETA: inst.theta, DELTA: inst.delta}
-        lo = -1
-        # the twisted images carry a symbolic exponent, so compute them once
-        # and evaluate per twist
-        profiles = {}
-        for length in range(1, max_len + 1):
-            for word in itertools.product((F, THETA, DELTA), repeat=length):
-                weyl_word = ops[word[0]]
-                for name in word[1:]:
-                    weyl_word = weyl_word * ops[name]
-                shift = word.count(F) - word.count(DELTA)
-                for k in range(lo, hi + 1):
-                    if not lo <= k + shift <= hi:
-                        continue
-                    image = twisted_apply(weyl_word, f_power_element(k, inst.f),
-                                          inst.f)
-                    profiles[(word, k)] = (
-                        shift, twisted_scalar_profile(image, inst.f, k + shift))
-        for lam in (Fraction(0), Fraction(1, 2), Fraction(-1)):
-            ladder = psi_of_ladder(inst, lam, (lo, hi), pres=pres)
-            for (word, k), (shift, profile) in profiles.items():
-                element = from_word(pres, list(word))
-                direct = profile.evaluate(lam)
-                alpha = ladder_weight(pres, lam, k)
-                target = ladder_weight(pres, lam, k + shift)
-                got = act(ladder, element, alpha)
-                assert got == {target: [[direct]]}, (key, lam, word, k)
+    def test_short_words(self, key, max_len, hi, min_instances, min_presentations,
+                         words_act_on_psi_ladders):
+        words_act_on_psi_ladders(min_instances[key], min_presentations[key], max_len, (-1, hi))
 
 
 class TestWitness:
