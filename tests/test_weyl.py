@@ -4,8 +4,9 @@ from math import factorial
 
 import pytest
 
+from capelli import weyl
 from capelli.catalog import instantiate
-from capelli.poly import MultiPoly, UniPoly
+from capelli.poly import MultiPoly, UniPoly, _packing
 from capelli.weyl import (NotProportional, TwistedElement, WeylOp, commutator,
                           f_power_element, twisted_add, twisted_apply, twisted_canonical,
                           twisted_scalar_profile, weyl_apply, weyl_mul)
@@ -107,8 +108,10 @@ def term(arity, alpha, beta, c=1):
 
 
 class TestPackedApply:
-    """weyl_apply tests e >= beta in every packed field at once through a
-    guard bit per field; no field may borrow from or carry into the next."""
+    """weyl_apply groups the monomials by their exponents capped at B, the
+    operator's largest beta entry, and tests e >= beta once per class and
+    operator term, in every packed field at once through a guard bit per
+    field; no field may borrow from or carry into the next."""
 
     @pytest.mark.parametrize("k", [0, 1, 126, 127, 128, 255, 256, 300])
     def test_no_borrow_from_the_next_variable(self, k):
@@ -155,6 +158,75 @@ class TestPackedApply:
                                for _ in range(rng.randint(0, 3))})
             p = MultiPoly(arity, {exps(): rng.choice([-3, 1, 2]) for _ in range(rng.randint(0, 4))})
             assert weyl_apply(a, p).terms == naive_apply(a, p)
+
+    def test_class_meets_a_fitting_and_a_failing_term(self):
+        # B = 3: x1^5 x2^2 and x1^4 x2^2 share the class (3, 2), which
+        # d1^2 fits and d2^3 does not
+        a = term(2, (0, 1), (2, 0), 2) + term(2, (1, 0), (0, 3), 5)
+        p = MultiPoly(2, {(5, 2): 1, (4, 2): -3})
+        assert weyl_apply(a, p).terms == naive_apply(a, p) == {(3, 3): 40, (2, 3): -72}
+
+    def test_cap_127_in_one_byte_fields(self, monkeypatch):
+        widths = []
+
+        def packing(*args):
+            packed = _packing(*args)
+            widths.append(packed[0])
+            return packed
+
+        monkeypatch.setattr(weyl, "_packing", packing)
+        # every e + alpha and beta is at most 127: one byte per field, and
+        # the cap fills each field up to its guard bit
+        a = term(2, (0, 0), (127, 0)) + term(2, (0, 0), (1, 1), -2)
+        p = MultiPoly(2, {(127, 0): 1, (127, 1): 3, (126, 5): -1, (0, 127): 2, (1, 1): 4})
+        got = weyl_apply(a, p).terms
+        assert widths == [8]
+        assert got == naive_apply(a, p) == {
+            (0, 0): factorial(127) - 8, (0, 1): 3 * factorial(127),
+            (126, 0): -6 * 127, (125, 4): 1260}
+
+    def test_monomials_that_differ_above_the_cap(self):
+        # B = 2: x1^5 x2 and x1^7 x2 fall in the class (2, 1), yet each
+        # keeps its own falling factorials and its own image
+        a = term(2, (0, 0), (2, 0)) + term(2, (0, 0), (0, 1), 3)
+        p = MultiPoly(2, {(5, 1): 1, (7, 1): 1})
+        assert weyl_apply(a, p).terms == naive_apply(a, p) == {
+            (3, 1): 20, (5, 1): 42, (5, 0): 3, (7, 0): 3}
+
+    def test_mixed_orders_near_the_edges_property(self):
+        # operators that mix derivative orders, so B exceeds some terms'
+        # beta entries, with alpha != 0 and exponents at the field edges
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        edges = st.sampled_from([0, 1, 2, 63, 64, 127, 128, 129, 255, 256, 300])
+
+        @st.composite
+        def cases(draw):
+            arity = draw(st.integers(0, 3))
+            exps = st.tuples(*[edges] * arity)
+            low = st.tuples(*[st.integers(0, 2)] * arity)
+            alphas = exps.filter(any) if arity else exps
+            coefs = st.integers(-4, 4).filter(bool)
+            ops = st.dictionaries(st.tuples(alphas, st.one_of(exps, low)), coefs,
+                                  min_size=1, max_size=4)
+            polys = st.dictionaries(exps, coefs, max_size=5)
+            return WeylOp(arity, draw(ops)), MultiPoly(arity, draw(polys))
+
+        @hypothesis.settings(max_examples=200)
+        @hypothesis.given(cases())
+        def agrees(case):
+            a, p = case
+            assert weyl_apply(a, p).terms == naive_apply(a, p)
+
+        agrees()
+
+    def test_delta_on_a_catalog_power(self):
+        # (8,4): Delta has 24 terms and f^3 has 1,848, the shape the
+        # annihilation check differentiates up to f^5
+        inst = instantiate(8, 4)
+        p = inst.f ** 3
+        assert (len(inst.delta.terms), len(p.terms)) == (24, 1848)
+        assert weyl_apply(inst.delta, p).terms == naive_apply(inst.delta, p)
 
     @pytest.mark.parametrize("arity", [1, 2, 3])
     def test_product_acts_as_composition_property(self, arity):
