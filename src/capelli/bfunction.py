@@ -109,10 +109,11 @@ def _plain_delta_scalar(inst: CaseInstance, k: int) -> int | Fraction:
         return 0
     if k == 0:
         raise NotProportional("Delta does not annihilate constants")
-    base, got = f_power(inst, k - 1).terms, image.terms
+    base, got = f_power(inst, k - 1)._terms, image._terms
     # the only candidate scalar is the ratio at any one monomial of f^(k-1);
-    # neither map stores a zero, so equal key counts and equal terms on the
-    # keys of f^(k-1) mean image == rho * f^(k-1), with no product built
+    # on the stored keys, neither map stores a zero and equal values store
+    # equal keys, so equal key counts and equal terms on the keys of f^(k-1)
+    # mean image == rho * f^(k-1), with no product built
     e, c = next(iter(base.items()))
     rho = ratio(got.get(e, 0), c)
     if len(got) != len(base) or any(got.get(e) != rho * c for e, c in base.items()):

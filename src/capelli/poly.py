@@ -16,13 +16,27 @@ drops the zeros, once, as the result is built.  ``power`` is the
 one powering loop, used by both polynomial classes and by the quotient
 algebra.
 
-The plain kernels, MultiPoly.__mul__ and weyl.weyl_apply, work on packed
-keys: an exponent tuple becomes one int, each variable a field of whole
-bytes, lowest variable lowest (_packing).  A monomial product is then one
-int add.  Packing is exact only while no field carries into or borrows
-from its neighbour, so each call chooses the field width from its
-operands' largest exponents; keys are packed on entry and unpacked on
-exit, and .terms stays tuple-keyed.
+A MultiPoly stores its terms once, keyed by packed ints.  At field width
+w, the key of x^e holds the total degree sum(e) in its top field and then
+e[0] down to e[-1], one w-bit field each (_pack), so comparing two keys of
+one width compares their monomials in graded lex, and a monomial product
+is one int add.  w is the least number of whole bytes that keeps the top
+bit of each field, the guard, above the total degree (_width): a function
+of the value alone, so equal polynomials store equal dicts.  A kernel
+whose result needs wider fields re-packs its operands first (a product
+works at the width of the sum of the two degrees), and a result whose top
+degree cancelled is re-packed down (MultiPoly._raw); exponents of any
+size stay exact.  The guards make a fieldwise comparison one subtraction:
+with G the guard bits, x^l divides x^e exactly when ((E | G) - L) & G ==
+G, and then E - L is the key of x^(e - l).  .terms is a read-only view
+keyed by exponent tuples, for display, tests and callers outside the
+kernels.
+
+divide_exact is quotient-heap division (Johnson 1974; Monagan and Pearce,
+J. Symb. Comp. 46, 2011): the dividend's keys are sorted once, and a heap
+with at most one entry per quotient term merges the quotient's products
+with the divisor's terms below its lead.  A division that fails stops at
+the first nonzero key that the lead does not divide.
 
 A UniPoly is stored as integer numerators over one positive denominator,
 the layout of FLINT's fmpq_poly: nums[i] / den is the coefficient of
@@ -38,10 +52,10 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from functools import reduce
+from collections.abc import Mapping
 from itertools import repeat
 from math import gcd, lcm
-from operator import add as _add, mul as _mul, neg as _neg, or_, sub as _sub
+from operator import mul as _mul
 
 
 def ratio(a, b):
@@ -53,10 +67,6 @@ def ratio(a, b):
 def format_rational(c) -> str:
     """Canonical "p/q" wire form (denominator always present)."""
     return f"{c.numerator}/{c.denominator}"
-
-
-def _grlex(exps):
-    return (sum(exps), exps)
 
 
 def _check_scalar(c, what):
@@ -105,44 +115,50 @@ def _taylor_shift(a, den, sigma):
     return a, den
 
 
-def _packing(groups, arity, need):
-    """Pack groups of exponent tuples, each of length arity, into ints.
+def _width(deg):
+    """Field bits for a polynomial of total degree deg: whole bytes, with the
+    top bit of each field, the guard, above every exponent and the degree."""
+    return 8 * (deg.bit_length() // 8 + 1)
 
-    Each variable gets a field of whole bytes, lowest variable lowest.
-    need maps an upper bound on each group's entries to the largest value
-    a field must hold, and the fields are made just wide enough for it.
-    Returns (field bits, one list of packed ints per group, unpack), where
-    unpack maps an iterable of packed ints back to tuples.
 
-    One-byte fields are packed in C (int.from_bytes over bytes), and each
-    group's bound is read off the OR of its packed keys, which is below
-    twice its largest entry.  Wider fields, which only large exponents
-    need, take the exact maxima and a slower loop.
-    """
-    try:
-        packed = [list(map(int.from_bytes, map(bytes, keys), repeat("little")))
-                  for keys in groups]
-        # one spare zero byte, so that arity 0 or no keys give bound 0
-        bounds = [max(reduce(or_, ks, 0).to_bytes(arity + 1, "little")) for ks in packed]
-    except ValueError:                      # an entry past 255
-        pass
-    else:
-        if need(bounds) < 256:
-            return 8, packed, lambda keys: map(
-                tuple, map(int.to_bytes, keys, repeat(arity), repeat("little")))
-    width = (need([max(map(max, keys), default=0) if arity else 0 for keys in groups])
-             .bit_length() + 7) // 8
-    size = width * arity
+def _pack(exps, w):
+    """The key of the exponent tuple exps at field width w: sum(exps) in the
+    top field, then exps[0] down to exps[-1] in the lowest."""
+    key = sum(exps)
+    for x in exps:
+        key = key << w | x
+    return key
 
-    def pack(e):
-        return int.from_bytes(b"".join(x.to_bytes(width, "little") for x in e), "little")
 
-    def unpack(keys):
-        for k in keys:
-            b = k.to_bytes(size, "little")
-            yield tuple(int.from_bytes(b[i:i + width], "little") for i in range(0, size, width))
+def _exponents(key, n, w):
+    """The exponent tuple of the key at arity n and field width w."""
+    step = w // 8
+    b = key.to_bytes((n + 1) * step, "big")
+    if step == 1:
+        return tuple(b[1:])
+    return tuple(int.from_bytes(b[i:i + step], "big") for i in range(step, len(b), step))
 
-    return 8 * width, [list(map(pack, keys)) for keys in groups], unpack
+
+def _repacked(terms, n, w, w2):
+    """The dict terms with its keys re-packed from field width w to w2."""
+    return {_pack(_exponents(k, n, w), w2): c for k, c in terms.items()}
+
+
+def _guards(n, w):
+    """The guard bits of the n variable fields at width w."""
+    return sum(1 << (w * i + w - 1) for i in range(n))
+
+
+def _summed(a, b):
+    """The sum of two term dicts on one key layout, zeros dropped."""
+    out = dict(a)
+    for k, c in b.items():
+        acc = out.get(k)
+        if acc is None:
+            out[k] = c
+        else:
+            out[k] = acc + c
+    return _nonzero(out)
 
 
 def power(x, n, one, mul):
@@ -183,24 +199,34 @@ def _join_terms(terms):
 class TermMap:
     """Sparse map from monomial keys to nonzero coefficients, at a fixed arity.
 
-    The additive structure shared by MultiPoly (keys are exponent vectors)
-    and weyl.WeylOp (keys are pairs of them).  Zero coefficients are never
-    stored (every summing loop builds its result through _nonzero), so
-    equality of the term maps is equality of the values.  A scalar is an
-    int or a Fraction; values of different subclasses are never equal, and
-    adding or multiplying them raises TypeError.  A subclass supplies its
-    unit key and its product.
+    The additive structure shared by MultiPoly (keys are packed exponent
+    vectors) and weyl.WeylOp (keys are pairs of exponent tuples).  Zero
+    coefficients are never stored (every summing loop builds its result
+    through _nonzero), and each value has one stored form, so equality of
+    the stored dicts is equality of the values.  A scalar is an int or a
+    Fraction; values of different subclasses are never equal, and adding or
+    multiplying them raises TypeError.  A subclass supplies its unit key and
+    its product.
     """
 
-    __slots__ = ("arity", "terms")
+    __slots__ = ("arity", "_terms")
 
     def __init__(self, arity: int, terms=None):
         self.arity = arity
-        self.terms = {} if terms is None else terms
+        self._terms = {} if terms is None else terms
 
     @staticmethod
     def unit_key(arity):
         raise NotImplementedError
+
+    @property
+    def terms(self):
+        """The terms, keyed by monomial."""
+        return self._terms
+
+    def _new(self, terms):
+        """The value of self's class and key layout that stores the dict terms."""
+        return type(self)(self.arity, terms)
 
     # -- constructors -------------------------------------------------
 
@@ -220,12 +246,12 @@ class TermMap:
     # -- structure -----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self.arity == other.arity and self.terms == other.terms
+        return self.arity == other.arity and self._terms == other._terms
 
     __hash__ = None
 
@@ -235,23 +261,20 @@ class TermMap:
 
     # -- additive structure and scalars ----------------------------------
 
-    def __add__(self, other):
+    def _operand(self, other):
+        """other as a value of self's class and arity; a scalar becomes a constant."""
         if type(other) is not type(self):
             other = self.constant(self.arity, other)
         self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            acc = out.get(k)
-            if acc is None:
-                out[k] = c
-            else:
-                out[k] = acc + c
-        return type(self)(self.arity, _nonzero(out))
+        return other
+
+    def __add__(self, other):
+        return self._new(_summed(self._terms, self._operand(other)._terms))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return type(self)(self.arity, {k: -c for k, c in self.terms.items()})
+        return self._new({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -261,17 +284,76 @@ class TermMap:
 
     def _scale(self, c):
         _check_scalar(c, "a scalar factor")
-        return type(self)(self.arity, _nonzero({k: v * c for k, v in self.terms.items()}))
+        return self._new(_nonzero({k: v * c for k, v in self._terms.items()}))
+
+
+class _TupleTerms(Mapping):
+    """Read-only view of a MultiPoly's terms, keyed by exponent tuples."""
+
+    def __init__(self, p):
+        self._p = p
+
+    def __len__(self):
+        return len(self._p._terms)
+
+    def __iter__(self):
+        p = self._p
+        return map(_exponents, p._terms, repeat(p.arity), repeat(p.width))
+
+    def __getitem__(self, exps):
+        p, exps = self._p, tuple(exps)
+        if len(exps) != p.arity or min(exps, default=0) < 0 or sum(exps) >> (p.width - 1):
+            raise KeyError(exps)        # no key of p's width packs these exponents
+        return p._terms[_pack(exps, p.width)]
+
+    def __repr__(self):
+        return repr(dict(self.items()))
 
 
 class MultiPoly(TermMap):
-    """Sparse multivariate polynomial: map from exponent vectors to coefficients.
+    """Sparse multivariate polynomial over the rationals, on packed keys.
 
-    Exponent vectors are tuples of fixed length ``arity``.  Iteration for
-    display/serialization uses descending graded-lex order.
+    The terms are stored once, keyed by packed ints (module docstring);
+    .terms is a read-only view keyed by exponent tuples of length arity,
+    and width is the field width of the stored keys.  Iteration for
+    display and serialization uses descending graded-lex order.
     """
 
-    __slots__ = ()
+    __slots__ = ("width",)
+
+    def __init__(self, arity: int, terms=None):
+        terms = {} if terms is None else terms
+        if any(len(e) != arity for e in terms):
+            raise ValueError("exponent vector length != arity")
+        w = _width(max(map(sum, terms), default=0))
+        super().__init__(arity, {_pack(e, w): c for e, c in terms.items()})
+        self.width = w
+
+    @classmethod
+    def _raw(cls, arity, terms, width):
+        """The polynomial storing terms, a dict of keys at field width width
+        with no zero coefficient; keys wider than the canonical width of the
+        value, which a cancelled top degree leaves, are re-packed."""
+        p = cls.__new__(cls)
+        p.arity, p._terms, p.width = arity, terms, width
+        if width > 8:
+            need = _width(max(p.total_degree(), 0))
+            if need < width:
+                p._terms, p.width = _repacked(terms, arity, width, need), need
+        return p
+
+    def _new(self, terms):
+        return MultiPoly._raw(self.arity, terms, self.width)
+
+    def _keys(self, width):
+        """The stored dict with its keys at field width width, at least self.width."""
+        if width == self.width:
+            return self._terms
+        return _repacked(self._terms, self.arity, self.width, width)
+
+    @property
+    def terms(self):
+        return _TupleTerms(self)
 
     @staticmethod
     def unit_key(arity):
@@ -296,30 +378,41 @@ class MultiPoly(TermMap):
     # -- queries -------------------------------------------------------
 
     def total_degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
+        """Total degree, the top field of the largest key; -1 for the zero polynomial."""
+        if not self._terms:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(self._terms) >> (self.width * self.arity)
 
     def sorted_terms(self):
-        """Terms in descending graded-lex order."""
-        return sorted(self.terms.items(), key=lambda kv: _grlex(kv[0]), reverse=True)
+        """Terms in descending graded-lex order, keyed by exponent tuples."""
+        n, w, terms = self.arity, self.width, self._terms
+        return [(_exponents(k, n, w), terms[k]) for k in sorted(terms, reverse=True)]
 
     def __repr__(self):
         return f"MultiPoly({self.arity}, {self.format()})"
 
     # -- arithmetic ----------------------------------------------------
 
+    def __add__(self, other):
+        other = self._operand(other)
+        w = max(self.width, other.width)
+        return MultiPoly._raw(self.arity, _summed(self._keys(w), other._keys(w)), w)
+
+    __radd__ = __add__
+
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):
             return self._scale(other)
         self._check(other)
         n = self.arity
-        _, (left, right), unpack = _packing((self.terms, other.terms), n, sum)
-        right = list(zip(right, other.terms.values()))
+        if self.is_zero() or other.is_zero():
+            return MultiPoly.zero(n)
+        # over a field the top degrees multiply: the product has degree d1 + d2
+        w = _width(self.total_degree() + other.total_degree())
+        right = list(other._keys(w).items())
         out = {}
         get = out.get
-        for k1, c1 in zip(left, self.terms.values()):
+        for k1, c1 in self._keys(w).items():
             for k2, c2 in right:
                 k = k1 + k2
                 c = c1 * c2
@@ -328,7 +421,7 @@ class MultiPoly(TermMap):
                     out[k] = c
                 else:
                     out[k] = acc + c
-        return MultiPoly(n, _nonzero(dict(zip(unpack(out), out.values()))))
+        return MultiPoly._raw(n, _nonzero(out), w)
 
     __rmul__ = __mul__
 
@@ -337,70 +430,89 @@ class MultiPoly(TermMap):
 
     def partial(self, i: int):
         """Exact partial derivative with respect to variable i."""
+        n, w = self.arity, self.width
+        shift = w * (n - 1 - i)
+        field = (1 << w) - 1
+        step = (1 << (w * n)) + (1 << shift)    # one off the degree and one off x_i
         out = {}
-        for e, c in self.terms.items():
-            k = e[i]
-            if k == 0:
-                continue
-            ne = e[:i] + (k - 1,) + e[i + 1:]
-            out[ne] = c * k
-        return MultiPoly(self.arity, out)
+        for key, c in self._terms.items():
+            k = key >> shift & field
+            if k:
+                out[key - step] = c * k
+        return MultiPoly._raw(n, out, w)
 
     def divide_exact(self, q: "MultiPoly"):
         """Return r with q*r == self, or None when self is not a multiple of q.
 
-        Leading-term division under graded lex (Johnson 1974; Monagan and
-        Pearce, J. Symb. Comp. 46, 2011).  A heap pops the remainder's
-        exponents grlex-largest first, each pushed once when it enters.
-        Every update lands strictly below the popped lead, so each exponent
-        is popped once, after its last update; a zero one has cancelled.
+        Leading-term division under graded lex with a quotient heap (module
+        docstring).  Each step takes the largest key not yet handled, from
+        the sorted dividend or from the heap, whose entry (-key, t, j) is
+        the product of quotient term t and divisor term j below the lead,
+        and sums the coefficients met there.  A nonzero sum whose key the
+        lead does not divide ends the division; any other gives the next
+        quotient term.  The remainder is never stored.
         """
         self._check(q)
         if q.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
-        qlead = max(q.terms, key=_grlex)
-        qc = q.terms[qlead]
-        qrest = [(e, c) for e, c in q.terms.items() if e != qlead]
-        rem = dict(self.terms)
-        # min-heap keyed to pop the grlex-largest exponent first
-        heap = [(-sum(e), tuple(map(_neg, e)), e) for e in rem]
-        heapq.heapify(heap)
-        quot = {}
-        while heap:
-            rlead = heapq.heappop(heap)[2]
-            rc = rem.pop(rlead)
-            if rc == 0:
+        n, w = self.arity, self.width
+        if q.width > w:         # a wider q has the larger degree
+            return None if self._terms else MultiPoly.zero(n)
+        divisor = q._keys(w)
+        lead, *rest = sorted(divisor, reverse=True)
+        lc = divisor[lead]
+        rest = [(k, -divisor[k]) for k in rest]
+        guard = _guards(n, w)
+        terms = self._terms
+        keys = sorted(terms, reverse=True)
+        quot_keys, quot = [], []
+        heap = []
+        i, size = 0, len(keys)
+        while True:
+            if i < size and (not heap or keys[i] >= -heap[0][0]):
+                m = keys[i]
+                c = terms[m]
+                i += 1
+            elif heap:
+                m, c = -heap[0][0], 0
+            else:
+                break
+            while heap and heap[0][0] == -m:
+                _, t, j = heapq.heappop(heap)
+                c += quot[t] * rest[j][1]
+                j += 1
+                if j < len(rest):
+                    heapq.heappush(heap, (-(quot_keys[t] + rest[j][0]), t, j))
+            if c == 0:
                 continue
-            diff = tuple(map(_sub, rlead, qlead))
-            if any(x < 0 for x in diff):
+            if ((m | guard) - lead) & guard != guard:
                 return None
-            coef = ratio(rc, qc)
-            quot[diff] = coef
-            for e, c in qrest:
-                te = tuple(map(_add, diff, e))
-                old = rem.get(te)
-                if old is None:
-                    heapq.heappush(heap, (-sum(te), tuple(map(_neg, te)), te))
-                rem[te] = (0 if old is None else old) - coef * c
-        return MultiPoly(self.arity, quot)
+            quot_keys.append(m - lead)
+            quot.append(ratio(c, lc))
+            if rest:
+                heapq.heappush(heap, (-(m - lead + rest[0][0]), len(quot) - 1, 0))
+        return MultiPoly._raw(n, dict(zip(quot_keys, quot)), w)
 
     # -- variable plumbing ----------------------------------------------
 
     def with_extra_symbol(self):
         """Embed into the ring with one extra (last) variable."""
-        return MultiPoly(
-            self.arity + 1, {e + (0,): c for e, c in self.terms.items()}
-        )
+        w = self.width
+        return MultiPoly._raw(self.arity + 1, {k << w: c for k, c in self._terms.items()}, w)
 
     def substitute_last(self, value):
         """Evaluate the last variable at a rational, dropping it."""
+        n, w = self.arity, self.width
+        field = (1 << w) - 1
+        top = w * (n - 1)           # the degree field, once the last field is gone
         out = {}
-        for e, c in self.terms.items():
-            k = e[-1]
+        for key, c in self._terms.items():
+            k = key & field
+            nk = (key >> w) - (k << top)
             nc = c * (value ** k if k else 1)
-            ne = e[:-1]
-            out[ne] = out.get(ne, 0) + nc
-        return MultiPoly(self.arity - 1, _nonzero(out))
+            acc = out.get(nk)
+            out[nk] = nc if acc is None else acc + nc
+        return MultiPoly._raw(n - 1, _nonzero(out), w)
 
     def format(self) -> str:
         """Human-readable form in x1, x2, ..., graded-lex descending."""

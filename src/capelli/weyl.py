@@ -25,16 +25,18 @@ f^(s+1) the largest numerator to canonicalize has 240 terms, against
 9,240 when each monomial is differentiated on its own.  weyl_apply stays
 plain monomial-by-monomial differentiation, the independent oracle.
 
-weyl_apply works on packed exponent keys (see poly) with one spare top
-bit per field, the guard, set in the mask G.  x^e survives d^beta when
-e >= beta in every field, and one subtraction tests all fields at once:
-((E | G) - B) & G == G.  The term x^alpha d^beta then sends the key E to
-E + (A - B).  The field width is chosen so that twice the largest of
-e + alpha and beta fits a field; then every field stays below its guard
-bit and no subtraction borrows across fields.  Most pairs fail the test
-(on f^5 of case (8,4), three in four), so the monomials are first put in
-classes by their exponents capped fieldwise at the operator's largest
-beta entry; the cap is taken on the packed key by the same guard
+weyl_apply works on the stored keys of p (see poly).  x^e survives d^beta
+when e >= beta in every field, and one subtraction tests all fields at
+once: ((E | G) - B) & G == G, with G the guard bits and B the key of beta
+without its degree field.  The term x^alpha d^beta then sends the key E to
+E + (A - B), A and B the keys of alpha and beta.  A term with |beta| >
+deg p kills every monomial and is dropped, so every beta entry fits a
+field below its guard bit.  The call works at the wider of p's width and
+the one that deg p + max(|alpha| - |beta|) needs, and re-packs p's keys
+only when the latter is wider.  Most pairs fail
+the test (on f^5 of case (8,4), three in four), so the monomials are first
+put in classes by their exponents capped fieldwise at the operator's
+largest beta entry; the cap is taken on the packed key by the same guard
 subtraction.  Every beta is at most the cap, so x^e survives exactly when
 its class does, and each (class, term) pair is tested once; only the
 members of a surviving class are differentiated.
@@ -46,7 +48,7 @@ from dataclasses import dataclass
 from itertools import product as _iproduct
 from math import comb, perm
 
-from .poly import MultiPoly, TermMap, UniPoly, _nonzero, _packing, ratio
+from .poly import MultiPoly, TermMap, UniPoly, _guards, _nonzero, _pack, _width, ratio
 
 
 class NotProportional(Exception):
@@ -134,29 +136,33 @@ def weyl_mul(a: WeylOp, b: WeylOp) -> WeylOp:
 
 def weyl_apply(a: WeylOp, p: MultiPoly) -> MultiPoly:
     """Apply the operator to a polynomial, exactly, one monomial at a time,
-    on guarded packed keys (module docstring)."""
+    on p's stored keys (module docstring)."""
     a._check(p)
     n = a.arity
-    betas = [beta for _, beta in a.terms]
-    bits, (keys, highs, lows), unpack = _packing(
-        (p.terms, [alpha for alpha, _ in a.terms], betas), n,
-        lambda m: 2 * max(m[0] + m[1], m[2]))
-    guard = sum(1 << (bits * i + bits - 1) for i in range(n))
-    cap = max((b for beta in betas for b in beta), default=0) * (guard >> (bits - 1))
-    # members of each class, flat: key, exponents, coefficient, key, ...
+    deg = p.total_degree()
+    # x^alpha d^beta with |beta| > deg p kills every monomial of p
+    terms = [(alpha, beta, c) for (alpha, beta), c in a.terms.items() if sum(beta) <= deg]
+    if not terms:
+        return MultiPoly.zero(n)
+    w = max(p.width, _width(deg + max(sum(alpha) - sum(beta) for alpha, beta, _ in terms)))
+    guard = _guards(n, w)
+    var = (1 << (w * n)) - 1                # the variable fields, below the degree
+    cap = max((b for _, beta, _ in terms for b in beta), default=0) * (guard >> (w - 1))
+    # members of each class, flat: key, coefficient, key, ...
     classes = {}
-    for key, e, pc in zip(keys, p.terms, p.terms.values()):
+    for key, pc in p._keys(w).items():
         ge = ((key | guard) - cap) & guard      # guard bits of the fields e >= cap
-        m = ge - (ge >> (bits - 1))             # and those fields' value bits
-        g = key ^ ((key ^ cap) & m)
+        m = ge - (ge >> (w - 1))                # and those fields' value bits
+        g = (key ^ ((key ^ cap) & m)) & var
         members = classes.get(g)
         if members is None:
-            classes[g] = [key, e, pc]
+            classes[g] = [key, pc]
         else:
-            members += key, e, pc
-    del keys
-    ops = [(c, high - low, low, [(i, b) for i, b in enumerate(beta) if b])
-           for c, high, low, beta in zip(a.terms.values(), highs, lows, betas)]
+            members += key, pc
+    field = (1 << w) - 1
+    ops = [(c, _pack(alpha, w) - _pack(beta, w), _pack(beta, w) & var,
+            [(w * (n - 1 - i), b) for i, b in enumerate(beta) if b])
+           for alpha, beta, c in terms]
     out = {}
     get = out.get
     for g, members in classes.items():
@@ -165,18 +171,17 @@ def weyl_apply(a: WeylOp, p: MultiPoly) -> MultiPoly:
             if (g - low) & guard != guard:
                 continue
             it = iter(members)
-            for key, e, pc in zip(it, it, it):
+            for key, pc in zip(it, it):
                 coef = c * pc
-                for i, b in support:
-                    coef *= perm(e[i], b)
+                for shift, b in support:
+                    coef *= perm(key >> shift & field, b)
                 key += step
                 acc = get(key)
                 if acc is None:
                     out[key] = coef
                 else:
                     out[key] = acc + coef
-    del classes                 # and with it the packed input keys, before the unpack
-    return MultiPoly(n, _nonzero(dict(zip(unpack(out), out.values()))))
+    return MultiPoly._raw(n, _nonzero(out), w)
 
 
 def commutator(a: WeylOp, b: WeylOp) -> WeylOp:
@@ -309,9 +314,12 @@ def twisted_scalar_profile(e: TwistedElement, f: MultiPoly, offset: int) -> UniP
     q, done = _divide_out(e.q, f.with_extra_symbol(), j)
     if done < j:
         raise NotProportional("numerator is not divisible by the required power of f")
-    out = [0] * (max(exps[n] for exps in q.terms) + 1)
-    for exps, c in q.terms.items():
-        if any(exps[i] for i in range(n)):
+    w = q.width
+    field = (1 << w) - 1
+    out = [0] * (q.total_degree() + 1)
+    for key, c in q._terms.items():
+        j = key & field             # the exponent of s, the last variable
+        if key != j << (w * (n + 1)) | j:
             raise NotProportional("residual dependence on the case variables")
-        out[exps[n]] = c
+        out[j] = c
     return UniPoly("s", out)

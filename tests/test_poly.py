@@ -4,7 +4,7 @@ from math import comb, gcd
 
 import pytest
 
-from capelli.poly import MultiPoly, UniPoly, power, rational_roots
+from capelli.poly import MultiPoly, UniPoly, _width, power, rational_roots
 from capelli.weyl import WeylOp
 
 
@@ -235,6 +235,48 @@ class TestNoZeroStored:
             assert values[6] == b.substitute_last(v)
 
         no_zero()
+
+
+class TestStoredLayout:
+    """Each value has one stored form: its keys sit at the field width its
+    total degree fixes, so equal values reached different ways store equal
+    key dicts, also after a width boundary was crossed on the way."""
+
+    def test_equal_values_store_equal_keys_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        coefs = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)).filter(bool)
+        # degrees on both sides of the one- and two-byte boundaries, 127/128 and 255/256
+        polys = st.dictionaries(st.tuples(st.integers(0, 130), st.integers(0, 130)), coefs,
+                                max_size=4).map(lambda t: MultiPoly(2, t))
+        s = MultiPoly.variable(3, 2)
+
+        @hypothesis.settings(max_examples=200, deadline=None)
+        @hypothesis.example(MultiPoly.monomial(2, (127, 0)), MultiPoly.monomial(2, (0, 1)),
+                            MultiPoly.monomial(2, (128, 128)), 1)
+        @hypothesis.given(polys, polys, polys.filter(lambda h: not h.is_zero()),
+                          st.integers(-2, 2))
+        def layout(a, b, h, v):
+            pairs = [
+                (a * b, MultiPoly(2, naive_product(a, b))),
+                ((a + h) + (-h), a),            # the sum's top degree cancels
+                ((a.with_extra_symbol() * (s - v) + h.with_extra_symbol()).substitute_last(v), h),
+                ((a * h).divide_exact(h), a),
+            ]
+            for got, want in pairs:
+                assert got._terms == want._terms and got.width == want.width
+                assert got.width == _width(max(got.total_degree(), 0))
+                tuples = dict(got.terms.items())
+                assert MultiPoly(2, tuples)._terms == got._terms
+                assert got.total_degree() == max(map(sum, tuples), default=-1)
+
+        layout()
+
+    @pytest.mark.parametrize("exps", [(1,), (1, 2, 3)])
+    def test_key_of_another_arity_is_refused(self, exps):
+        # packed, it would read back as some other monomial of arity 2
+        with pytest.raises(ValueError):
+            MultiPoly(2, {exps: 1})
 
 
 class TestExactScalars:

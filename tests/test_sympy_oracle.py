@@ -54,6 +54,64 @@ class TestFPowers:
         assert (f3 + 1).divide_exact(f) is None
 
 
+# exponents at the edges of one-, two- and three-byte fields
+EDGE_EXPONENTS = [0, 1, 127, 128, 255, 256, 2**16]
+
+
+def division_oracle(p, q):
+    """sympy's quotient of p by q as a MultiPoly, or None when sympy's
+    division leaves a nonzero remainder.  It divides in sympy's sparse
+    polynomial ring, whose div is sympy.div without the dense conversion
+    (which takes seconds at exponent 2^16)."""
+    ring, *_ = sympy.polys.rings.ring([f"x{i}" for i in range(1, p.arity + 1)], sympy.QQ)
+
+    def to_ring(m):
+        return ring.from_dict({e: sympy.QQ(Fraction(c).numerator, Fraction(c).denominator)
+                               for e, c in m.terms.items()})
+
+    quotient, remainder = to_ring(p).div(to_ring(q))
+    if remainder:
+        return None
+    return MultiPoly(p.arity, {e: Fraction(int(c.numerator), int(c.denominator))
+                               for e, c in quotient.items()})
+
+
+def edge_division_examples():
+    x, y = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    return [
+        (x ** 256 - y ** 256 + 1, x - y),           # fails after 256 cancelling rounds
+        ((x ** 128 - y ** 128) * (x + y), x - y),   # cancels, then divides exactly
+        (MultiPoly.zero(2), x ** 127 * y - 1),      # zero dividend
+        (MultiPoly.zero(0), MultiPoly.constant(0, 5)),
+        (MultiPoly.constant(0, 3), MultiPoly.constant(0, Fraction(-2, 3))),
+        (x ** 255 + 1, x ** 256 * y),               # the divisor is the wider one
+    ]
+
+
+def test_divide_exact_matches_sympy_div_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    coefs = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 2)).filter(bool)
+
+    @st.composite
+    def divisions(draw):
+        arity = draw(st.integers(0, 3))
+        exps = st.tuples(*[st.sampled_from(EDGE_EXPONENTS)] * arity)
+        polys = st.dictionaries(exps, coefs, max_size=3).map(lambda t: MultiPoly(arity, t))
+        a, q, r = draw(polys), draw(polys.filter(lambda m: not m.is_zero())), draw(polys)
+        return a * q + r, q         # exact when r = 0, or when q divides r
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(divisions())
+    def matches(division):
+        p, q = division
+        assert p.divide_exact(q) == division_oracle(p, q)
+
+    for division in edge_division_examples():
+        matches = hypothesis.example(division)(matches)
+    matches()
+
+
 @pytest.mark.parametrize("case_id, size", MIN_VERIFY_SIZES)
 def test_delta_through_sympy_diff(case_id, size):
     inst = instantiate(case_id, size)

@@ -6,7 +6,8 @@ import pytest
 
 from capelli import weyl
 from capelli.catalog import instantiate
-from capelli.poly import MultiPoly, UniPoly, _packing
+from capelli import poly
+from capelli.poly import MultiPoly, UniPoly
 from capelli.weyl import (NotProportional, TwistedElement, WeylOp, commutator,
                           f_power_element, twisted_add, twisted_apply, twisted_canonical,
                           twisted_scalar_profile, weyl_apply, weyl_mul)
@@ -167,23 +168,25 @@ class TestPackedApply:
         assert weyl_apply(a, p).terms == naive_apply(a, p) == {(3, 3): 40, (2, 3): -72}
 
     def test_cap_127_in_one_byte_fields(self, monkeypatch):
-        widths = []
+        repacks = []
 
-        def packing(*args):
-            packed = _packing(*args)
-            widths.append(packed[0])
-            return packed
+        def repacked(terms, n, w, w2):
+            repacks.append((w, w2))
+            return poly._repacked(terms, n, w, w2)
 
-        monkeypatch.setattr(weyl, "_packing", packing)
-        # every e + alpha and beta is at most 127: one byte per field, and
-        # the cap fills each field up to its guard bit
+        monkeypatch.setattr(poly, "_repacked", repacked)
+        # every exponent, degree, e - beta + alpha and beta is at most 127:
+        # one byte per field, the keys used as stored, and the cap fills
+        # each field up to its guard bit
         a = term(2, (0, 0), (127, 0)) + term(2, (0, 0), (1, 1), -2)
-        p = MultiPoly(2, {(127, 0): 1, (127, 1): 3, (126, 5): -1, (0, 127): 2, (1, 1): 4})
-        got = weyl_apply(a, p).terms
-        assert widths == [8]
-        assert got == naive_apply(a, p) == {
-            (0, 0): factorial(127) - 8, (0, 1): 3 * factorial(127),
-            (126, 0): -6 * 127, (125, 4): 1260}
+        p = MultiPoly(2, {(127, 0): 1, (126, 1): 3, (120, 7): -1, (0, 127): 2, (1, 1): 4})
+        assert p.width == 8 and max(p._terms) < 1 << 24
+        got = weyl_apply(a, p)
+        assert repacks == [] and got.width == 8
+        assert got.terms == naive_apply(a, p) == {
+            (0, 0): factorial(127) - 8, (125, 0): -6 * 126, (119, 6): 1680}
+        # one more degree needs a second byte per field
+        assert MultiPoly(2, {(127, 1): 1}).width == 16
 
     def test_monomials_that_differ_above_the_cap(self):
         # B = 2: x1^5 x2 and x1^7 x2 fall in the class (2, 1), yet each
