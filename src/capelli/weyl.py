@@ -39,7 +39,12 @@ put in classes by their exponents capped fieldwise at the operator's
 largest beta entry; the cap is taken on the packed key by the same guard
 subtraction.  Every beta is at most the cap, so x^e survives exactly when
 its class does, and each (class, term) pair is tested once; only the
-members of a surviving class are differentiated.
+members of a surviving class are differentiated.  Each member's exponent
+tuple is read off its key once and serves every term its class passes.
+A term keeps its beta support as two tuples: the fields with beta_i = 1,
+whose falling factorial e_i!/(e_i - 1)! is e_i itself, and those with
+beta_i >= 2, which take math.perm (every beta entry of Delta on case
+(8,4) is 1).
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ from dataclasses import dataclass
 from itertools import product as _iproduct
 from math import comb, perm
 
-from .poly import MultiPoly, TermMap, UniPoly, _guards, _nonzero, _pack, _width, ratio
+from .poly import MultiPoly, TermMap, UniPoly, _exponents, _guards, _nonzero, _pack, _width, ratio
 
 
 class NotProportional(Exception):
@@ -159,28 +164,35 @@ def weyl_apply(a: WeylOp, p: MultiPoly) -> MultiPoly:
             classes[g] = [key, pc]
         else:
             members += key, pc
-    field = (1 << w) - 1
+    # each term's support: the fields with beta_i = 1, whose falling
+    # factorial e_i!/(e_i - 1)! is e_i, and those with beta_i >= 2
     ops = [(c, _pack(alpha, w) - _pack(beta, w), _pack(beta, w) & var,
-            [(w * (n - 1 - i), b) for i, b in enumerate(beta) if b])
+            tuple(i for i, b in enumerate(beta) if b == 1),
+            tuple((i, b) for i, b in enumerate(beta) if b > 1))
            for alpha, beta, c in terms]
     out = {}
     get = out.get
     for g, members in classes.items():
         g |= guard
-        for c, step, low, support in ops:
-            if (g - low) & guard != guard:
-                continue
-            it = iter(members)
-            for key, pc in zip(it, it):
+        fits = [(c, step, ones, highs) for c, step, low, ones, highs in ops
+                if (g - low) & guard == guard]
+        if not fits:
+            continue
+        it = iter(members)
+        for key, pc in zip(it, it):
+            e = _exponents(key, n, w)
+            for c, step, ones, highs in fits:
                 coef = c * pc
-                for shift, b in support:
-                    coef *= perm(key >> shift & field, b)
-                key += step
-                acc = get(key)
+                for i in ones:
+                    coef *= e[i]
+                for i, b in highs:
+                    coef *= perm(e[i], b)
+                k = key + step
+                acc = get(k)
                 if acc is None:
-                    out[key] = coef
+                    out[k] = coef
                 else:
-                    out[key] = acc + coef
+                    out[k] = acc + coef
     return MultiPoly._raw(n, _nonzero(out), w)
 
 

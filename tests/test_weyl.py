@@ -112,7 +112,9 @@ class TestPackedApply:
     """weyl_apply groups the monomials by their exponents capped at B, the
     operator's largest beta entry, and tests e >= beta once per class and
     operator term, in every packed field at once through a guard bit per
-    field; no field may borrow from or carry into the next."""
+    field; no field may borrow from or carry into the next.  A member of a
+    surviving class has its exponents read once; a field with beta_i = 1
+    multiplies in e_i, one with beta_i >= 2 the falling factorial perm."""
 
     @pytest.mark.parametrize("k", [0, 1, 126, 127, 128, 255, 256, 300])
     def test_no_borrow_from_the_next_variable(self, k):
@@ -195,6 +197,66 @@ class TestPackedApply:
         p = MultiPoly(2, {(5, 1): 1, (7, 1): 1})
         assert weyl_apply(a, p).terms == naive_apply(a, p) == {
             (3, 1): 20, (5, 1): 42, (5, 0): 3, (7, 0): 3}
+
+    WIDTHS = {0: 8, 200: 16, 2**16: 24}
+
+    @pytest.mark.parametrize("base", WIDTHS)
+    def test_term_mixing_first_and_higher_order(self, base):
+        # x2 d1 d2^2: e1 from the first-order field, e2 (e2 - 1) from perm;
+        # base 200 needs two-byte fields, base 2^16 three
+        a = term(2, (0, 1), (1, 2), 3)
+        p = MultiPoly(2, {(base + 1, base + 2): 1, (base + 4, base + 5): -2,
+                          (0, base + 7): 5, (base + 3, 1): 1})
+        assert p.width == self.WIDTHS[base]
+        got = weyl_apply(a, p).terms
+        assert got == naive_apply(a, p) and len(got) == 2
+        if base == 0:
+            assert got == {(0, 1): 6, (3, 4): -480}
+
+    @pytest.mark.parametrize("base", WIDTHS)
+    def test_class_members_differ_in_a_first_order_field(self, base):
+        # B = 2: the three monomials share the class (2, 2) and differ only
+        # in x1, which d1 reads off each member
+        a = term(2, (0, 0), (1, 0)) + term(2, (0, 0), (0, 2), 3)
+        p = MultiPoly(2, {(base + 3, base + 2): 1, (base + 5, base + 2): 2,
+                          (base + 2, base + 2): -1})
+        assert p.width == self.WIDTHS[base]
+        got = weyl_apply(a, p).terms
+        assert got == naive_apply(a, p) and len(got) == 6
+        if base == 0:
+            assert got == {(2, 2): 3, (4, 2): 10, (1, 2): -2, (3, 0): 6, (5, 0): 12,
+                           (2, 0): -6}
+
+    def test_cost_shape(self, monkeypatch):
+        perms, reads = [], []
+
+        def perm(e, b):
+            perms.append(b)
+            return factorial(e) // factorial(e - b)
+
+        def exponents(key, n, w):
+            reads.append(key)
+            return poly._exponents(key, n, w)
+
+        monkeypatch.setattr(weyl, "perm", perm)
+        monkeypatch.setattr(weyl, "_exponents", exponents)
+        # every beta entry of Delta on (8,4) is 1, and every monomial of f^3
+        # survives some term: no falling factorial, one read per monomial
+        inst = instantiate(8, 4)
+        p = inst.f ** 3
+        weyl_apply(inst.delta, p)
+        assert (len(perms), len(reads), len(set(reads))) == (0, 1848, 1848)
+        # one perm per surviving (member, term, field with beta_i >= 2), and
+        # one read per member that some term survives
+        perms.clear()
+        reads.clear()
+        a = term(2, (0, 1), (1, 2), 3) + term(2, (1, 0), (2, 0)) + term(2, (0, 0), (0, 1), -1)
+        p = MultiPoly(2, {(1, 2): 1, (4, 5): -2, (0, 7): 5, (3, 1): 1, (1, 0): 4, (2, 3): 1})
+        fits = [(e, beta) for e in p.terms for (_, beta) in a.terms
+                if all(x >= b for x, b in zip(e, beta))]
+        assert weyl_apply(a, p).terms == naive_apply(a, p)
+        assert sorted(perms) == sorted(b for _, beta in fits for b in beta if b >= 2)
+        assert len(reads) == len({e for e, _ in fits}) == 5
 
     def test_mixed_orders_near_the_edges_property(self):
         # operators that mix derivative orders, so B exceeds some terms'
