@@ -8,29 +8,32 @@ anything else at each entry: ``constant``, scalar products, ``shift``,
 ``scale_arg``, ``monomial``, ``from_offsets``, the ladders' lambda and the
 arguments of ``delta_scalar`` and ``edge_scalar``; never in bare constructors.
 
-``TermMap`` holds the sparse additive structure (construction, equality,
-sums, scalar multiples) that ``MultiPoly`` here and ``weyl.WeylOp`` share;
-each subclass adds only its unit key and its product.  No zero coefficient
-is stored: each sparse sum adds into a scratch dict, and ``_nonzero`` alone
-drops the zeros, once, as the result is built.  ``power`` is the
-one powering loop, used by both polynomial classes and by the quotient
-algebra.
+``TermMap`` is the one sparse term store, shared by ``MultiPoly`` here and
+``weyl.WeylOp``: packed keys, construction, equality, sums and scalar
+multiples.  A subclass gives only its number of exponent fields per
+variable (FIELDS), the codec between its public keys and flat exponent
+tuples, and its product; a WeylOp stores x^alpha d^beta as the flat tuple
+alpha + beta.  No zero coefficient is stored: each sparse sum adds into a
+scratch dict, and ``_nonzero`` alone drops the zeros, once, as the result
+is built.  ``power`` is the one powering loop, used by both polynomial
+classes and by the quotient algebra.
 
-A MultiPoly stores its terms once, keyed by packed ints.  At field width
-w, the key of x^e holds the total degree sum(e) in its top field and then
-e[0] down to e[-1], one w-bit field each (_pack), so comparing two keys of
-one width compares their monomials in graded lex, and a monomial product
-is one int add.  w is the least number of whole bytes that keeps the top
-bit of each field, the guard, above the total degree (_width): a function
-of the value alone, so equal polynomials store equal dicts.  A kernel
-whose result needs wider fields re-packs its operands first (a product
-works at the width of the sum of the two degrees), and a result whose top
-degree cancelled is re-packed down (MultiPoly._raw); exponents of any
-size stay exact.  The guards make a fieldwise comparison one subtraction:
-with G the guard bits, x^l divides x^e exactly when ((E | G) - L) & G ==
-G, and then E - L is the key of x^(e - l).  .terms is a read-only view
-keyed by exponent tuples, for display, tests and callers outside the
-kernels.
+A TermMap stores its terms once, keyed by packed ints.  At field width w,
+the key of the flat exponent tuple e holds the total degree sum(e) in its
+top field and then e[0] down to e[-1], one w-bit field each (_pack), so
+comparing two keys of one width compares their monomials in graded lex,
+and a monomial product is one int add.  w is the least number of whole
+bytes that keeps the top bit of each field, the guard, above the total
+degree (_width): a function of the value alone, so equal values store
+equal dicts.  A kernel whose result needs wider fields re-packs its
+operands first (a product works at the width of the sum of the two
+degrees), and a result whose top degree cancelled is re-packed down
+(TermMap._raw); exponents of any size stay exact.  The guards make a
+fieldwise comparison one subtraction: with G the guard bits, x^l divides
+x^e exactly when ((E | G) - L) & G == G, and then E - L is the key of
+x^(e - l).  .terms is a read-only view keyed by the public keys (exponent
+tuples for a MultiPoly, (alpha, beta) for a WeylOp), for display, tests
+and callers outside the kernels.
 
 divide_exact is quotient-heap division (Johnson 1974; Monagan and Pearce,
 J. Symb. Comp. 46, 2011): the dividend's keys are sorted once, and a heap
@@ -197,36 +200,63 @@ def _join_terms(terms):
 
 
 class TermMap:
-    """Sparse map from monomial keys to nonzero coefficients, at a fixed arity.
+    """Sparse map from monomials to nonzero coefficients, at a fixed arity,
+    stored once on packed keys at field width width (module docstring).
 
-    The additive structure shared by MultiPoly (keys are packed exponent
-    vectors) and weyl.WeylOp (keys are pairs of exponent tuples).  Zero
-    coefficients are never stored (every summing loop builds its result
-    through _nonzero), and each value has one stored form, so equality of
-    the stored dicts is equality of the values.  A scalar is an int or a
-    Fraction; values of different subclasses are never equal, and adding or
-    multiplying them raises TypeError.  A subclass supplies its unit key and
-    its product.
+    A monomial is a flat exponent tuple of FIELDS * arity entries.  A
+    subclass supplies FIELDS, the codec between its public keys and flat
+    tuples (_flat, _key) and its product.  Zero coefficients are never
+    stored, and each value has one stored form, so equality of the stored
+    dicts is equality of the values.  A scalar is an int or a Fraction;
+    values of different subclasses are never equal, and adding or
+    multiplying them raises TypeError.
     """
 
-    __slots__ = ("arity", "_terms")
+    __slots__ = ("arity", "_terms", "width")
 
     def __init__(self, arity: int, terms=None):
+        terms = {} if terms is None else terms
         self.arity = arity
-        self._terms = {} if terms is None else terms
+        flat = [self._checked_flat(k) for k in terms]
+        if None in flat:
+            raise ValueError("exponent vector length != arity")
+        self.width = w = _width(max(map(sum, flat), default=0))
+        self._terms = {_pack(e, w): c for e, c in zip(flat, terms.values())}
 
-    @staticmethod
-    def unit_key(arity):
-        raise NotImplementedError
+    def _checked_flat(self, key):
+        """The flat exponent tuple of the public key, or None when key is not
+        the key of a monomial at self's arity."""
+        e = self._flat(key)
+        if len(e) == self.FIELDS * self.arity and self._key(e) == key:
+            return e
+
+    @classmethod
+    def _raw(cls, arity, terms, width):
+        """The value storing terms, a dict of keys at field width width with
+        no zero coefficient; keys wider than the canonical width of the
+        value, which a cancelled top degree leaves, are re-packed."""
+        p = cls.__new__(cls)
+        p.arity, p._terms, p.width = arity, terms, width
+        if width > 8:
+            need = _width(max(p.total_degree(), 0))
+            if need < width:
+                p._terms, p.width = _repacked(terms, cls.FIELDS * arity, width, need), need
+        return p
+
+    def _new(self, terms):
+        """The value of self's class, arity and width that stores the dict terms."""
+        return self._raw(self.arity, terms, self.width)
+
+    def _keys(self, width):
+        """The stored dict with its keys at field width width, at least self.width."""
+        if width == self.width:
+            return self._terms
+        return _repacked(self._terms, self.FIELDS * self.arity, self.width, width)
 
     @property
     def terms(self):
-        """The terms, keyed by monomial."""
-        return self._terms
-
-    def _new(self, terms):
-        """The value of self's class and key layout that stores the dict terms."""
-        return type(self)(self.arity, terms)
+        """The terms, a read-only view keyed by public keys."""
+        return _TermsView(self)
 
     # -- constructors -------------------------------------------------
 
@@ -237,7 +267,7 @@ class TermMap:
     @classmethod
     def constant(cls, arity, c):
         _check_scalar(c, "a constant")
-        return cls(arity, _nonzero({cls.unit_key(arity): c}))
+        return cls._raw(arity, _nonzero({0: c}), 8)     # the unit monomial packs to 0
 
     @classmethod
     def one(cls, arity):
@@ -247,6 +277,13 @@ class TermMap:
 
     def is_zero(self) -> bool:
         return not self._terms
+
+    def total_degree(self) -> int:
+        """The largest sum of one monomial's exponents, the top field of the
+        largest key; -1 for zero."""
+        if not self._terms:
+            return -1
+        return max(self._terms) >> (self.width * self.FIELDS * self.arity)
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -269,7 +306,9 @@ class TermMap:
         return other
 
     def __add__(self, other):
-        return self._new(_summed(self._terms, self._operand(other)._terms))
+        other = self._operand(other)
+        w = max(self.width, other.width)
+        return self._raw(self.arity, _summed(self._keys(w), other._keys(w)), w)
 
     __radd__ = __add__
 
@@ -287,8 +326,8 @@ class TermMap:
         return self._new(_nonzero({k: v * c for k, v in self._terms.items()}))
 
 
-class _TupleTerms(Mapping):
-    """Read-only view of a MultiPoly's terms, keyed by exponent tuples."""
+class _TermsView(Mapping):
+    """Read-only view of a TermMap's terms, keyed by its public keys."""
 
     def __init__(self, p):
         self._p = p
@@ -298,12 +337,14 @@ class _TupleTerms(Mapping):
 
     def __iter__(self):
         p = self._p
-        return map(_exponents, p._terms, repeat(p.arity), repeat(p.width))
+        n = p.FIELDS * p.arity
+        return map(p._key, map(_exponents, p._terms, repeat(n), repeat(p.width)))
 
-    def __getitem__(self, exps):
-        p, exps = self._p, tuple(exps)
-        if len(exps) != p.arity or min(exps, default=0) < 0 or sum(exps) >> (p.width - 1):
-            raise KeyError(exps)        # no key of p's width packs these exponents
+    def __getitem__(self, key):
+        p = self._p
+        exps = p._checked_flat(key)
+        if exps is None or min(exps, default=0) < 0 or sum(exps) >> (p.width - 1):
+            raise KeyError(key)         # no key of p's width packs these exponents
         return p._terms[_pack(exps, p.width)]
 
     def __repr__(self):
@@ -313,51 +354,15 @@ class _TupleTerms(Mapping):
 class MultiPoly(TermMap):
     """Sparse multivariate polynomial over the rationals, on packed keys.
 
-    The terms are stored once, keyed by packed ints (module docstring);
-    .terms is a read-only view keyed by exponent tuples of length arity,
-    and width is the field width of the stored keys.  Iteration for
-    display and serialization uses descending graded-lex order.
+    Its public keys are the exponent tuples of length arity, one field per
+    variable; .terms is keyed by them.  Iteration for display and
+    serialization uses descending graded-lex order.
     """
 
-    __slots__ = ("width",)
+    __slots__ = ()
 
-    def __init__(self, arity: int, terms=None):
-        terms = {} if terms is None else terms
-        if any(len(e) != arity for e in terms):
-            raise ValueError("exponent vector length != arity")
-        w = _width(max(map(sum, terms), default=0))
-        super().__init__(arity, {_pack(e, w): c for e, c in terms.items()})
-        self.width = w
-
-    @classmethod
-    def _raw(cls, arity, terms, width):
-        """The polynomial storing terms, a dict of keys at field width width
-        with no zero coefficient; keys wider than the canonical width of the
-        value, which a cancelled top degree leaves, are re-packed."""
-        p = cls.__new__(cls)
-        p.arity, p._terms, p.width = arity, terms, width
-        if width > 8:
-            need = _width(max(p.total_degree(), 0))
-            if need < width:
-                p._terms, p.width = _repacked(terms, arity, width, need), need
-        return p
-
-    def _new(self, terms):
-        return MultiPoly._raw(self.arity, terms, self.width)
-
-    def _keys(self, width):
-        """The stored dict with its keys at field width width, at least self.width."""
-        if width == self.width:
-            return self._terms
-        return _repacked(self._terms, self.arity, self.width, width)
-
-    @property
-    def terms(self):
-        return _TupleTerms(self)
-
-    @staticmethod
-    def unit_key(arity):
-        return (0,) * arity
+    FIELDS = 1
+    _flat = _key = staticmethod(tuple)
 
     # -- constructors -------------------------------------------------
 
@@ -377,12 +382,6 @@ class MultiPoly(TermMap):
 
     # -- queries -------------------------------------------------------
 
-    def total_degree(self) -> int:
-        """Total degree, the top field of the largest key; -1 for the zero polynomial."""
-        if not self._terms:
-            return -1
-        return max(self._terms) >> (self.width * self.arity)
-
     def sorted_terms(self):
         """Terms in descending graded-lex order, keyed by exponent tuples."""
         n, w, terms = self.arity, self.width, self._terms
@@ -392,13 +391,6 @@ class MultiPoly(TermMap):
         return f"MultiPoly({self.arity}, {self.format()})"
 
     # -- arithmetic ----------------------------------------------------
-
-    def __add__(self, other):
-        other = self._operand(other)
-        w = max(self.width, other.width)
-        return MultiPoly._raw(self.arity, _summed(self._keys(w), other._keys(w)), w)
-
-    __radd__ = __add__
 
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):

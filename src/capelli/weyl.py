@@ -1,8 +1,10 @@
 """Polynomial-coefficient differential operators and the twisted module.
 
 A WeylOp is kept in normal order: every term is x^alpha d^beta.  It shares
-its sums, scalar multiples and equality with MultiPoly through
-poly.TermMap, and differs only in its keys (alpha, beta) and its product.
+its store with MultiPoly through poly.TermMap: x^alpha d^beta is packed as
+the flat exponent tuple alpha + beta, two fields per variable with the
+alpha fields above the beta fields, and .terms is keyed by (alpha, beta).
+It differs from MultiPoly only in that codec and in its product.
 Products are re-normalized through the Leibniz exchange
 d^b x^c = sum_k C(b,k) * c!/(c-k)! * x^(c-k) d^(b-k), applied componentwise.
 
@@ -63,16 +65,22 @@ class NotProportional(Exception):
 class WeylOp(TermMap):
     """Normally ordered differential operator: map (alpha, beta) -> coefficient.
 
-    The sums, scalar multiples and equality come from ``poly.TermMap``;
-    ``*`` between operators is ``weyl_mul``.
+    x^alpha d^beta is stored as the packed flat tuple alpha + beta (module
+    docstring), and .terms is a read-only view keyed by (alpha, beta).
+    The storage, sums, scalar multiples and equality come from
+    ``poly.TermMap``; ``*`` between operators is ``weyl_mul``.
     """
 
     __slots__ = ()
 
+    FIELDS = 2
+
     @staticmethod
-    def unit_key(arity):
-        z = (0,) * arity
-        return (z, z)
+    def _flat(key):
+        return key[0] + key[1]
+
+    def _key(self, exps):
+        return exps[:self.arity], exps[self.arity:]
 
     # -- constructors -------------------------------------------------
 
@@ -90,10 +98,7 @@ class WeylOp(TermMap):
 
     @classmethod
     def partial(cls, arity, i):
-        z = (0,) * arity
-        e = list(z)
-        e[i] = 1
-        return cls(arity, {(z, tuple(e)): 1})
+        return cls.const_coeff_from_poly(MultiPoly.variable(arity, i))
 
     @classmethod
     def euler(cls, arity):
@@ -124,8 +129,9 @@ def weyl_mul(a: WeylOp, b: WeylOp) -> WeylOp:
     a._check(b)
     n = a.arity
     out = {}
+    right = list(b.terms.items())
     for (a1, b1), c1 in a.terms.items():
-        for (a2, b2), c2 in b.terms.items():
+        for (a2, b2), c2 in right:
             # exchange d^b1 past x^a2: k_i of the d_i act on x_i^(a2_i)
             ranges = [range(min(x, y) + 1) for x, y in zip(b1, a2)]
             for k in _iproduct(*ranges):
@@ -316,7 +322,6 @@ def twisted_scalar_profile(e: TwistedElement, f: MultiPoly, offset: int) -> UniP
     Raises NotProportional when the element is not of that shape, i.e.
     the numerator is not (pure s-polynomial) * f^(m+offset).
     """
-    n = f.arity
     if e.q.is_zero():
         return UniPoly.zero("s")
     j = e.m + offset
@@ -326,12 +331,9 @@ def twisted_scalar_profile(e: TwistedElement, f: MultiPoly, offset: int) -> UniP
     q, done = _divide_out(e.q, f.with_extra_symbol(), j)
     if done < j:
         raise NotProportional("numerator is not divisible by the required power of f")
-    w = q.width
-    field = (1 << w) - 1
     out = [0] * (q.total_degree() + 1)
-    for key, c in q._terms.items():
-        j = key & field             # the exponent of s, the last variable
-        if key != j << (w * (n + 1)) | j:
+    for e, c in q.terms.items():
+        if any(e[:-1]):             # s is the last variable
             raise NotProportional("residual dependence on the case variables")
-        out[j] = c
+        out[e[-1]] = c
     return UniPoly("s", out)

@@ -272,11 +272,55 @@ class TestStoredLayout:
 
         layout()
 
-    @pytest.mark.parametrize("exps", [(1,), (1, 2, 3)])
+    def test_weyl_op_store_property(self):
+        # a WeylOp stores x^alpha d^beta as the packed flat tuple alpha + beta,
+        # so its width follows max |alpha| + |beta| as a polynomial's does
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        coefs = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)).filter(bool)
+        parts = st.tuples(st.integers(0, 70), st.integers(0, 70))
+        ops = st.dictionaries(st.tuples(parts, parts), coefs, max_size=4).map(
+            lambda t: WeylOp(2, t))
+
+        def summed(*values):
+            out = {}
+            for v in values:
+                for k, c in v.terms.items():
+                    out[k] = out.get(k, 0) + c
+            return WeylOp(2, {k: c for k, c in out.items() if c})
+
+        @hypothesis.settings(max_examples=200, deadline=None)
+        @hypothesis.example(WeylOp(2, {((127, 0), (0, 0)): 1}), WeylOp(2, {((0, 0), (0, 1)): 1}),
+                            WeylOp(2, {((64, 0), (0, 64)): 1}), Fraction(1))
+        @hypothesis.given(ops, ops, ops.filter(lambda h: not h.is_zero()), coefs)
+        def layout(a, b, h, c):
+            pairs = [
+                ((a + h) + (-h), a),            # the sum's top degree cancels
+                (a - b, summed(a, -1 * b)),
+                (-a, WeylOp(2, {k: -v for k, v in a.terms.items()})),
+                (c * a + b, summed(WeylOp(2, {k: c * v for k, v in a.terms.items()}), b)),
+                (a * 0, WeylOp.zero(2)),
+            ]
+            for got, want in pairs:
+                assert got._terms == want._terms and got.width == want.width
+                assert got.width == _width(max(got.total_degree(), 0))
+                keyed = dict(got.terms)
+                assert WeylOp(2, keyed)._terms == got._terms
+                assert got.total_degree() == max((sum(al) + sum(be) for al, be in keyed),
+                                                 default=-1)
+                with pytest.raises(TypeError):
+                    got.terms[((0, 0), (0, 0))] = 1
+
+        layout()
+
+    # a pair is a WeylOp key (alpha, beta), which must hold two tuples of length arity
+    @pytest.mark.parametrize("exps", [(1,), (1, 2, 3), ((1,), (0, 0)), ((1, 0), (0,)),
+                                      ((1, 0, 0), (0, 0, 0)), ((1,), (0, 0, 0))])
     def test_key_of_another_arity_is_refused(self, exps):
         # packed, it would read back as some other monomial of arity 2
+        cls = WeylOp if isinstance(exps[0], tuple) else MultiPoly
         with pytest.raises(ValueError):
-            MultiPoly(2, {exps: 1})
+            cls(2, {exps: 1})
 
 
 class TestExactScalars:

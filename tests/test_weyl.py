@@ -450,6 +450,14 @@ class TestTwisted:
         with pytest.raises(NotProportional):
             twisted_scalar_profile(e, inst.f, 0)
 
+    def test_scalar_profile_rejects_mixed_monomial(self):
+        inst = instantiate(1, 2)
+        x1, s = MultiPoly.variable(3, 0), MultiPoly.variable(3, 2)
+        # x1 * s and s + x1 * s depend on x1 beside a positive power of s
+        for q in (x1 * s, s + x1 * s):
+            with pytest.raises(NotProportional, match="residual"):
+                twisted_scalar_profile(TwistedElement(q, 0), inst.f, 0)
+
     def test_scalar_profile_rejects_division_shortfall(self):
         inst = instantiate(1, 2)
         fl = inst.f.with_extra_symbol()
